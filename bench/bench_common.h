@@ -9,9 +9,7 @@
 
 #include "common/table_writer.h"
 #include "core/heuristic_table.h"
-#include "core/kernel_dispatch.h"
 #include "core/search_engine.h"
-#include "core/search_queue.h"
 #include "sim/experiment_runner.h"
 #include "workload/scenario.h"
 
@@ -40,19 +38,11 @@ struct BenchOptions {
   /// classic weighted Manhattan bound (--heuristic=manhattan).
   core::HeuristicMode heuristic = core::HeuristicMode::kTable;
 
-  /// Survivor-scan kernel of the SRP segment stores
-  /// (--kernel=scalar|batched|avx2|auto; auto = CPUID, overridable via
-  /// the CARP_FORCE_KERNEL environment variable).
-  core::CollisionKernel kernel = core::CollisionKernel::kAuto;
-
-  /// Open-list implementation of every search core (--queue=heap|bucket|
-  /// auto; auto = the bucket dial, overridable via CARP_FORCE_QUEUE).
-  /// Routes are bit-identical either way; the flag isolates queue cost.
-  core::SearchQueue queue = core::SearchQueue::kAuto;
-
-  /// Search engine of every planner (--engine=astar|sipp|auto; auto =
-  /// CARP_FORCE_ENGINE, then the time-expanded default). The engines
-  /// guarantee equal route costs, not identical routes (DESIGN.md §2k).
+  /// Search engine of the grid-based planners (--engine=astar|sipp|auto;
+  /// auto = CARP_FORCE_ENGINE, then the time-expanded default). The
+  /// engines guarantee equal route costs, not identical routes
+  /// (DESIGN.md §2k). The SRP segment stores' survivor-scan kernel is not
+  /// a flag: CPUID picks it, and CARP_FORCE_KERNEL overrides it.
   core::SearchEngine engine = core::SearchEngine::kAuto;
 
   static BenchOptions Parse(int argc, char** argv, double default_scale) {
@@ -90,22 +80,6 @@ struct BenchOptions {
           std::exit(2);
         }
         o.heuristic = *mode;
-      } else if (const char* v = value("--kernel=")) {
-        core::CollisionKernel k;
-        if (!core::ParseCollisionKernel(v, &k)) {
-          std::cerr << "unknown --kernel value: " << v
-                    << " (expected scalar|batched|avx2|auto)\n";
-          std::exit(2);
-        }
-        o.kernel = k;
-      } else if (const char* v = value("--queue=")) {
-        core::SearchQueue q;
-        if (!core::ParseSearchQueue(v, &q)) {
-          std::cerr << "unknown --queue value: " << v
-                    << " (expected heap|bucket|auto)\n";
-          std::exit(2);
-        }
-        o.queue = q;
       } else if (const char* v = value("--engine=")) {
         core::SearchEngine e;
         if (!core::ParseSearchEngine(v, &e)) {
@@ -121,9 +95,11 @@ struct BenchOptions {
       } else if (arg == "--help" || arg == "-h") {
         std::cout << "options: --scale=F --days=N --threads=N "
                      "--algos=A,B,... --heuristic=manhattan|table "
-                     "--kernel=scalar|batched|avx2|auto "
-                     "--queue=heap|bucket|auto --engine=astar|sipp|auto "
-                     "--no-validate --retire\n";
+                     "--engine=astar|sipp|auto (grid planners) "
+                     "--no-validate --retire\n"
+                     "environment: CARP_FORCE_KERNEL=scalar|avx2 pins the "
+                     "SRP survivor-scan kernel (default: cpuid), "
+                     "CARP_FORCE_ENGINE=astar|sipp the grid search engine\n";
         std::exit(0);
       }
     }
@@ -143,8 +119,6 @@ inline sim::ExperimentConfig MakeConfig(const std::string& scenario,
   config.simulator.threads = options.threads;
   config.simulator.retire_routes = options.retire;
   config.simulator.heuristic = options.heuristic;
-  config.simulator.kernel = options.kernel;
-  config.simulator.queue = options.queue;
   config.simulator.engine = options.engine;
   return config;
 }

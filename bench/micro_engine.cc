@@ -1,7 +1,8 @@
 // Search-engine bench: paired searches over identical committed state,
 // once on the time-expanded (cell, t) A* oracle and once on the
-// safe-interval (cell, free-interval) engine, on every factory backend and
-// the paper's three warehouses.
+// safe-interval (cell, free-interval) engine, on every grid-based backend
+// and the paper's three warehouses. SRP takes no engine (its only
+// space-time search is the time-expanded A* fallback), so it has no row.
 //
 // The pairing is exact: both planners answer every query with a *const*
 // QueryRoute against byte-identical reservation state, then the A* route
@@ -16,10 +17,7 @@
 // The headline metric is node expansions per query on the grid baselines:
 // one interval node subsumes a whole wait chain of time-expanded nodes, so
 // under congestion SIPP expands strictly less. --strict gates the W-2
-// grid-aggregate reduction at >= 30%. SRP rows are the control group: its
-// engines answer the intra-strip wait cap from the same busy runs with
-// identical probe accounting, so its routes are bit-identical and its
-// reduction is structurally 0.
+// grid-aggregate reduction at >= 30%.
 //
 // Emits BENCH_engine.json. Usage:
 //   micro_engine [--scenarios=W-1,W-2,W-3] [--queries=N] [--seed=S]
@@ -148,8 +146,7 @@ int main(int argc, char** argv) {
   using Clock = std::chrono::steady_clock;
 
   std::vector<std::string> scenarios = {"W-1", "W-2", "W-3"};
-  std::vector<std::string> backends = {"SAP", "RP",  "TWP",
-                                       "ACP", "SRP", "SRP-noindex"};
+  std::vector<std::string> backends = {"SAP", "RP", "TWP", "ACP"};
   int query_count = 96;
   std::uint64_t seed = 7;
   std::string out_path = "BENCH_engine.json";
@@ -185,7 +182,7 @@ int main(int argc, char** argv) {
       strict = true;
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "options: --scenarios=W-1,W-2,W-3 "
-                   "--backends=SAP,RP,TWP,ACP,SRP,SRP-noindex --queries=N "
+                   "--backends=SAP,RP,TWP,ACP --queries=N "
                    "--seed=S --out=FILE --strict\n";
       return 0;
     }
@@ -206,7 +203,7 @@ int main(int argc, char** argv) {
     const Workload workload = SampleWorkload(warehouse, query_count, seed);
 
     // W-2 strict gate: expansion reduction aggregated over the grid
-    // baselines (SRP is the bit-identical control, so it never counts).
+    // baselines.
     std::int64_t grid_astar_expanded = 0;
     std::int64_t grid_sipp_expanded = 0;
 
@@ -293,10 +290,8 @@ int main(int argc, char** argv) {
                             ctx_s->stats.intervals_built;
       row.interval_expansions = sipp->stats().interval_expansions +
                                 ctx_s->stats.interval_expansions;
-      if (backend != "SRP" && backend != "SRP-noindex") {
-        grid_astar_expanded += row.astar_expanded;
-        grid_sipp_expanded += row.sipp_expanded;
-      }
+      grid_astar_expanded += row.astar_expanded;
+      grid_sipp_expanded += row.sipp_expanded;
       if (row.cost_mismatches > 0 || !row.collision_free) violation = true;
 
       table.AddRow(

@@ -143,9 +143,9 @@ int main(int argc, char** argv) {
   // Defaults are tuned so the --strict W-2 gate (>=5% TC reduction) holds
   // deterministically: min_iters pins the iteration floor that reaches the
   // gate with the fixed seed under the FIFO open-list total order (equal-f
-  // ties settle in insertion order in both the dial and the heap; see
-  // core/bucket_queue.h), and the CPU budget only buys extra rounds on
-  // fast machines (accepted cost is monotone, so extras never hurt).
+  // ties settle in insertion order; see core/bucket_queue.h), and the CPU
+  // budget only buys extra rounds on fast machines (accepted cost is
+  // monotone, so extras never hurt).
   double budget_s = 3.5;
   std::int64_t min_iters = 2600;
   std::int64_t max_iters = 6000;

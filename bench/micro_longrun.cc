@@ -1,9 +1,14 @@
 // Long-run route lifecycle bench: a multi-day W-2 workload through one
 // *shared* SRP planner, day by day, with each day's arrivals offset onto a
-// continuous clock. With retirement on (the default) finished routes are
-// released and expired state pruned on an epoch cadence, so retained bytes
-// and per-query latency must stay flat across days; --no-release disables
-// the lifecycle and reproduces the unbounded accumulate-everything regime.
+// continuous clock. A day starts one day length after the previous one, or
+// at the previous day's makespan when that day overran: an earlier start
+// would plan behind routes the previous day already released, which the
+// ReleaseRoute contract forbids. The collision-free column validates the
+// concatenated history of every day so far. With retirement on (the
+// default) finished routes are released and expired state pruned on an
+// epoch cadence, so retained bytes and per-query latency must stay flat
+// across days; --no-release disables the lifecycle and reproduces the
+// unbounded accumulate-everything regime.
 //
 // Emits BENCH_longrun.json. Usage:
 //   micro_longrun [--scale=F] [--days=N] [--threads=N] [--no-release]
@@ -95,6 +100,7 @@ int main(int argc, char** argv) {
                      "released", "pruned", "collision-free"});
   std::vector<DayRow> rows;
   core::PlannerStats prev_stats;
+  TimeStep day_start = 0;
   for (int day = 0; day < days; ++day) {
     workload::TaskGeneratorOptions topts;
     topts.task_count = scenario.daily_tasks[static_cast<std::size_t>(day) %
@@ -103,11 +109,10 @@ int main(int argc, char** argv) {
     topts.seed = scenario.seed * 1000 + static_cast<std::uint64_t>(day);
     auto tasks = workload::GenerateTasks(
         warehouse, workload::ArrivalProfile::DoubleSurge(), topts);
-    for (auto& t : tasks) {
-      t.arrival += static_cast<TimeStep>(day) * scenario.day_length;
-    }
+    for (auto& t : tasks) t.arrival += day_start;
 
     const auto m = sim.Run(tasks);
+    day_start = std::max(day_start + scenario.day_length, m.makespan);
     const core::PlannerStats stats = planner.stats();
     const std::int64_t day_queries =
         std::max<std::int64_t>(1, stats.queries - prev_stats.queries);

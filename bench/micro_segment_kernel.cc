@@ -2,7 +2,7 @@
 // (DESIGN.md §2f/§2g): per scenario, one synthetic strip population with
 // churn is loaded into both production stores under every kernel variant
 // — the flat legacy scan (trusted oracle) plus the two-level summary scan
-// under each survivor-scan kernel (scalar / batched / avx2) — then an
+// under each survivor-scan kernel (scalar / avx2) — then an
 // identical probe stream is answered by all of them. The pairing is exact:
 // every variant must return bit-identical collision times and occupancy
 // bits on every probe, and the blocked variants must agree on their exact
@@ -21,7 +21,7 @@
 // Emits BENCH_segment_kernel.json. Usage:
 //   micro_segment_kernel [--scenarios=W-1,W-2,W-3] [--queries=N]
 //                        [--seed=S] [--scale=F] [--out=FILE]
-//                        [--kernel=scalar|batched|avx2|auto] [--reps=R]
+//                        [--kernel=scalar|avx2|auto] [--reps=R]
 //                        [--min-reduction=R] [--strict]
 
 #include <algorithm>
@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
       strict = true;
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "options: --scenarios=W-1,W-2,W-3 --queries=N --seed=S "
-                   "--scale=F --reps=R --kernel=scalar|batched|avx2|auto "
+                   "--scale=F --reps=R --kernel=scalar|avx2|auto "
                    "--min-reduction=R --out=FILE --strict\n";
       return 0;
     }
@@ -199,13 +199,12 @@ int main(int argc, char** argv) {
     CollisionKernel k;
     if (!core::ParseCollisionKernel(kernel_arg, &k)) {
       std::cerr << "unknown --kernel value: " << kernel_arg
-                << " (expected scalar|batched|avx2|auto)\n";
+                << " (expected scalar|avx2|auto)\n";
       return 2;
     }
     requested.push_back(k);
   } else {
-    requested = {CollisionKernel::kScalar, CollisionKernel::kBatched,
-                 CollisionKernel::kAvx2};
+    requested = {CollisionKernel::kScalar, CollisionKernel::kAvx2};
   }
 
   std::cout << "=== segment-store collision kernels vs flat scan (paired) "

@@ -35,14 +35,9 @@ struct GridPlannerOptions {
   std::size_t heuristic_budget_bytes =
       core::HeuristicTableCache::Options{}.budget_bytes;
 
-  /// Open-list implementation for the shared space-time A* engine; kAuto
-  /// resolves once at construction (CARP_FORCE_QUEUE, then the bucket
-  /// default). Both modes expand identically — see SpaceTimeAStarOptions.
-  core::SearchQueue queue = core::SearchQueue::kAuto;
-
   /// Search engine (DESIGN.md §2k); kAuto resolves once at construction
-  /// (CARP_FORCE_ENGINE, then the time-expanded default). Unlike the
-  /// queue knob, the engines guarantee equal costs, not identical routes.
+  /// (CARP_FORCE_ENGINE, then the time-expanded default). The engines
+  /// guarantee equal costs, not identical routes.
   core::SearchEngine engine = core::SearchEngine::kAuto;
 };
 
@@ -81,7 +76,6 @@ class GridPlannerBase : public core::Planner {
     if (options_.horizon <= 0) {
       options_.horizon = 4 * (matrix.height() + matrix.width());
     }
-    options_.queue = core::ResolveSearchQueue(options_.queue);
     options_.engine = core::ResolveSearchEngine(options_.engine);
     if (options_.heuristic == core::HeuristicMode::kTable) {
       core::HeuristicTableCache::Options cache_options;
@@ -272,8 +266,7 @@ class GridPlannerBase : public core::Planner {
     core::SpaceTimeAStarOptions search;
     search.horizon = options_.horizon;
     search.max_expansions = options_.max_expansions;
-    search.queue = options_.queue;    // resolved at construction, never kAuto
-    search.engine = options_.engine;  // likewise
+    search.engine = options_.engine;  // resolved at construction, never kAuto
     if (hcache_ != nullptr) {
       keepalive = hcache_->Acquire(destination);
       search.heuristic = keepalive.get();

@@ -15,7 +15,6 @@ std::unique_ptr<core::Planner> MakePlanner(std::string_view algorithm,
     GridPlannerOptions options;
     options.heuristic = build.heuristic;
     options.heuristic_budget_bytes = build.heuristic_budget_bytes;
-    options.queue = build.queue;
     options.engine = build.engine;
     return std::make_unique<SapPlanner>(matrix, options);
   }
@@ -23,7 +22,6 @@ std::unique_ptr<core::Planner> MakePlanner(std::string_view algorithm,
     RpPlannerOptions options;
     options.grid.heuristic = build.heuristic;
     options.grid.heuristic_budget_bytes = build.heuristic_budget_bytes;
-    options.grid.queue = build.queue;
     options.grid.engine = build.engine;
     return std::make_unique<RpPlanner>(matrix, options);
   }
@@ -31,7 +29,6 @@ std::unique_ptr<core::Planner> MakePlanner(std::string_view algorithm,
     TwpPlannerOptions options;
     options.grid.heuristic = build.heuristic;
     options.grid.heuristic_budget_bytes = build.heuristic_budget_bytes;
-    options.grid.queue = build.queue;
     options.grid.engine = build.engine;
     return std::make_unique<TwpPlanner>(matrix, options);
   }
@@ -39,7 +36,6 @@ std::unique_ptr<core::Planner> MakePlanner(std::string_view algorithm,
     AcpPlannerOptions options;
     options.grid.heuristic = build.heuristic;
     options.grid.heuristic_budget_bytes = build.heuristic_budget_bytes;
-    options.grid.queue = build.queue;
     options.grid.engine = build.engine;
     if (build.acp_cache_budget_bytes != 0) {
       options.cache_budget_bytes = build.acp_cache_budget_bytes;
@@ -50,9 +46,6 @@ std::unique_ptr<core::Planner> MakePlanner(std::string_view algorithm,
     srp::SrpPlannerOptions options;
     options.heuristic = build.heuristic;
     options.heuristic_budget_bytes = build.heuristic_budget_bytes;
-    options.kernel = build.kernel;
-    options.queue = build.queue;
-    options.engine = build.engine;
     return std::make_unique<srp::SrpPlanner>(matrix, options);
   }
   if (algorithm == "SRP-noindex") {
@@ -60,9 +53,6 @@ std::unique_ptr<core::Planner> MakePlanner(std::string_view algorithm,
     options.use_slope_index = false;
     options.heuristic = build.heuristic;
     options.heuristic_budget_bytes = build.heuristic_budget_bytes;
-    options.kernel = build.kernel;
-    options.queue = build.queue;
-    options.engine = build.engine;
     return std::make_unique<srp::SrpPlanner>(matrix, options);
   }
   return nullptr;

@@ -9,7 +9,6 @@
 #include "core/heuristic_table.h"
 #include "core/planner.h"
 #include "core/search_engine.h"
-#include "core/search_queue.h"
 #include "core/warehouse.h"
 
 namespace carp::baselines {
@@ -23,18 +22,10 @@ struct PlannerBuildOptions {
   std::size_t heuristic_budget_bytes =
       core::HeuristicTableCache::Options{}.budget_bytes;
 
-  /// Survivor-scan kernel of the SRP segment stores (kAuto = CPUID +
-  /// CARP_FORCE_KERNEL). Ignored by the grid-based baselines.
-  core::CollisionKernel kernel = core::CollisionKernel::kAuto;
-
-  /// Open-list implementation of every search core (kAuto = CARP_FORCE_QUEUE,
-  /// then the bucket default). Heap and bucket produce identical routes.
-  core::SearchQueue queue = core::SearchQueue::kAuto;
-
-  /// Search engine of the grid baselines and SRP's intra-strip wait caps
-  /// (kAuto = CARP_FORCE_ENGINE, then the time-expanded default). The
-  /// engines guarantee equal route costs, not identical routes
-  /// (DESIGN.md §2k).
+  /// Search engine of the grid-based baselines (kAuto = CARP_FORCE_ENGINE,
+  /// then the time-expanded default). The engines guarantee equal route
+  /// costs, not identical routes (DESIGN.md §2k). Ignored by SRP, whose
+  /// only space-time search is its time-expanded A* fallback.
   core::SearchEngine engine = core::SearchEngine::kAuto;
 
   /// Byte budget of ACP's OD path cache (LRU-evicted past the budget).

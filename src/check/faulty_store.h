@@ -76,13 +76,16 @@ enum class StoreFault {
 /// the only divergence from a trusted implementation is the fault itself.
 class FaultySegmentStore final : public srp::SegmentStore {
  public:
-  // The tail fault is only observable by a lane kernel, so that variant
-  // pins the batched one — available on every ISA, unlike AVX2.
+  // The tail fault's phantom segment is only visible to the lane kernel,
+  // so that variant pins AVX2. Where AVX2 is unavailable (or
+  // CARP_FORCE_KERNEL=scalar overrides the pin) the store runs scalar and
+  // the fault is caught structurally instead: CheckInvariants' tail-
+  // poisoning audit flags the revived slot either way.
   explicit FaultySegmentStore(StoreFault fault)
       : fault_(fault),
         inner_(/*summary_pruning=*/true,
                fault == StoreFault::kCorruptSimdTail
-                   ? srp::CollisionKernel::kBatched
+                   ? srp::CollisionKernel::kAvx2
                    : srp::CollisionKernel::kAuto) {
     if (fault_ == StoreFault::kCorruptSimdTail) {
       // A sentinel tail only exists once the store spans more than one

@@ -99,18 +99,13 @@ HeuristicFaultResult RunHeuristicFaultCalibration(int max_seeds);
 ///    Manhattan-guided search returns over identical committed state
 ///    (routes may differ under ties; costs may not), and an SRP day in
 ///    manhattan mode must stay collision-free;
-///  * engine equivalence (DESIGN.md §2k) — every backend rebuilt with the
-///    time-expanded and with the safe-interval search engine must answer
-///    each query of a shared stream with routes of exactly equal cost over
-///    identical committed state (routes may differ — the interval engine
-///    places waits wherever the collapsed expansion lands them), and every
-///    interval-engine answer must be collision-free against the state it
-///    was planned over;
-///  * open-list equivalence — every backend rebuilt with the binary-heap
-///    and with the bucket-dial open list (SearchQueue) must commit
-///    byte-identical route sets, with identical expansion counts, for the
-///    same query stream: the dial reproduces the heap's total order
-///    exactly, so any divergence is a queue bug.
+///  * engine equivalence (DESIGN.md §2k) — every grid backend rebuilt with
+///    the time-expanded and with the safe-interval search engine must
+///    answer each query of a shared stream with routes of exactly equal
+///    cost over identical committed state (routes may differ — the
+///    interval engine places waits wherever the collapsed expansion lands
+///    them), and every interval-engine answer must be collision-free
+///    against the state it was planned over.
 ///
 /// Stops at the first violation and reports the scenario knobs that
 /// reproduce it.

@@ -17,10 +17,10 @@ namespace carp::core {
 /// minimum — O(1) amortised against the total key span instead of
 /// O(log n) comparisons per operation.
 ///
-/// Ordering contract (what makes heap ⇄ bucket differential-equal): items
-/// pop in ascending `f`; ties in ascending `h`; ties in FIFO push order.
-/// With `h = f - g` this is exactly spacetime A*'s heap order (min f, max
-/// g, min serial), and with `h = 0` it is SRP's (min f, min serial).
+/// Ordering contract: items pop in ascending `f`; ties in ascending `h`;
+/// ties in FIFO push order. The space-time engines push `h = f - g`
+/// (min f, then deepest g, then oldest); SRP's strip searches push
+/// `h = 0` (min f, then oldest).
 ///
 /// The f-ring is a power-of-two array indexed by `f & mask`. Weighted
 /// searches may push an f *below* the current minimum (SRP's inflated

@@ -6,24 +6,22 @@
 namespace carp::core {
 
 /// Which implementation of the per-block survivor scan the segment stores
-/// run (DESIGN.md §2g). The three concrete kernels answer identically —
+/// run (DESIGN.md §2g). The two concrete kernels answer identically —
 /// same earliest-collision times, same survivor masks, same counters — so
 /// the choice is purely a throughput knob:
-///   * kScalar:  the portable slot-at-a-time loop (the oracle);
-///   * kBatched: an autovector-friendly batched form that evaluates a whole
-///     64-slot block's prefilters into bitmasks with straight-line code;
-///   * kAvx2:    hand-written AVX2 intrinsics, 8 lanes (4 for the 64-bit
+///   * kScalar: the portable slot-at-a-time loop (the oracle, and the only
+///     kernel on hosts without AVX2);
+///   * kAvx2:   hand-written AVX2 intrinsics, 8 lanes (4 for the 64-bit
 ///     line keys) at a time.
 /// kAuto resolves at store construction via CPUID: AVX2 when the host has
 /// it, the scalar loop otherwise.
 enum class CollisionKernel : int {
   kScalar = 0,
-  kBatched = 1,
-  kAvx2 = 2,
-  kAuto = 3,
+  kAvx2 = 1,
+  kAuto = 2,
 };
 
-/// Lower-case flag spelling ("scalar", "batched", "avx2", "auto").
+/// Lower-case flag spelling ("scalar", "avx2", "auto").
 const char* ToString(CollisionKernel kernel);
 
 /// Parses the flag spelling; false (out untouched) on anything else.
@@ -34,7 +32,9 @@ bool CpuSupportsAvx2();
 
 /// Maps a requested kernel to the one a store should actually run:
 ///   * the CARP_FORCE_KERNEL environment variable, when set to a valid
-///     spelling, overrides any request (the CI escape hatch);
+///     spelling, overrides any request (the CI escape hatch); any other
+///     value — including a retired kernel name — is warned about and
+///     ignored;
 ///   * kAuto picks AVX2 iff the host supports it;
 ///   * an explicit kAvx2 request degrades to kScalar (with a warning) on
 ///     hosts without AVX2, so a stale flag can never crash a binary.

@@ -59,9 +59,9 @@ struct PlannerStats {
   std::int64_t blocks_scanned = 0;
   std::int64_t blocks_skipped = 0;
   std::int64_t candidates_pruned_by_summary = 0;
-  // SRP lane kernel (DESIGN.md §2g): slots evaluated by the batched
-  // survivor kernels and the subset that survived every lane prefilter
-  // (zero under the scalar kernel, which never batches).
+  // SRP lane kernel (DESIGN.md §2g): slots evaluated by the AVX2
+  // survivor kernel and the subset that survived every lane prefilter
+  // (zero under the scalar kernel, which scans slot by slot).
   std::int64_t kernel_lanes_processed = 0;
   std::int64_t kernel_lanes_survived = 0;
   // Sharded commit path (DESIGN.md §2h): routes committed concurrently
@@ -76,6 +76,8 @@ struct PlannerStats {
   CollisionKernel collision_kernel = CollisionKernel::kScalar;
   /// Search engine the planner resolved to (DESIGN.md §2k) — a label like
   /// collision_kernel (untouched by Merge; the owning planner overlays it).
+  /// SRP always reports kAstar: its only space-time search is the
+  /// time-expanded fallback.
   SearchEngine search_engine = SearchEngine::kAstar;
   // Safe-interval engine (DESIGN.md §2k): free intervals derived during
   // interval extraction and (cell, interval) node expansions. Zero under

@@ -19,6 +19,8 @@ namespace carp::core {
 /// time-expanded oracle: routes stay bit-identical with every pre-engine
 /// baseline, and the interval engine is the opt-in accelerator exercised
 /// by --engine=sipp, CARP_FORCE_ENGINE, and a dedicated CI ctest pass.
+/// Only the grid-based baselines take an engine; SRP's one space-time
+/// search, its A* fallback, is always time-expanded.
 enum class SearchEngine : int {
   kAstar = 0,
   kSipp = 1,

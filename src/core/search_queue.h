@@ -1,40 +1,27 @@
 #ifndef CARP_CORE_SEARCH_QUEUE_H_
 #define CARP_CORE_SEARCH_QUEUE_H_
 
-#include <string>
-
 namespace carp::core {
 
-/// Which open-list implementation the search cores run (DESIGN.md §2j).
-/// Both answer identically — same pop order, same routes, same expansion
-/// counts — so the choice is purely a throughput knob:
-///   * kHeap:   the classic std::push_heap/pop_heap binary heap (the
-///     oracle; O(log n) per op, branchy comparator);
-///   * kBucket: a two-level dial / bucket queue exploiting the searches'
-///     small-integer monotone keys (O(1) amortised per op, FIFO ties).
-/// kAuto resolves at planner construction and currently always picks the
-/// bucket queue; the heap stays reachable for A/B runs and differential
-/// pinning via CARP_FORCE_QUEUE.
+/// The open list every search core runs (DESIGN.md §2j): a two-level dial
+/// / bucket queue (core/bucket_queue.h) exploiting the searches' small
+/// integer monotone keys. It is the only implementation; this label exists
+/// so run records can name the open list that produced their numbers.
 enum class SearchQueue : int {
-  kHeap = 0,
-  kBucket = 1,
-  kAuto = 2,
+  kBucket = 0,
+  kAuto = 1,
 };
 
-/// Lower-case flag spelling ("heap", "bucket", "auto").
-const char* ToString(SearchQueue queue);
+/// Lower-case spelling ("bucket", "auto").
+inline const char* ToString(SearchQueue queue) {
+  return queue == SearchQueue::kAuto ? "auto" : "bucket";
+}
 
-/// Parses the flag spelling; false (out untouched) on anything else.
-bool ParseSearchQueue(const std::string& text, SearchQueue* out);
-
-/// Maps a requested queue to the one a search should actually run:
-///   * the CARP_FORCE_QUEUE environment variable, when set to a valid
-///     spelling, overrides any request (the CI / A-B escape hatch);
-///   * kAuto picks the bucket queue.
-/// Never returns kAuto. The first resolution in a process logs its choice
-/// and why, so runs record which open list produced their numbers. Called
-/// at planner construction, never on a query path.
-SearchQueue ResolveSearchQueue(SearchQueue requested);
+/// The open list a search runs for `requested`: always the bucket dial.
+/// Never returns kAuto.
+inline SearchQueue ResolveSearchQueue(SearchQueue /*requested*/) {
+  return SearchQueue::kBucket;
+}
 
 }  // namespace carp::core
 

@@ -43,14 +43,9 @@ std::optional<Route> SippAStar::Plan(const ReservationTable& reservations,
   const TimeStep clip = std::min(aware_until, deadline + 1);
   intervals_.Build(reservations, start_time, clip);
 
-  SearchQueue queue = options.queue;
-  if (queue == SearchQueue::kAuto) queue = ResolveSearchQueue(queue);
-  const bool use_bucket = queue == SearchQueue::kBucket;
-
   labels_.clear();
   label_of_interval_.clear();
-  open_.clear();
-  bucket_.Clear();
+  open_.Clear();
   // Keep the (cell, interval) -> label map sized to the lazily growing
   // interval arena; new slots start unlabelled.
   auto ensure_label_slots = [&] {
@@ -58,35 +53,14 @@ std::optional<Route> SippAStar::Plan(const ReservationTable& reservations,
       label_of_interval_.resize(intervals_.arena_size(), -1);
     }
   };
-  // Same total order as the time-expanded engine's open list: ascending f,
-  // then ascending h = f - g (prefer deeper g), then FIFO.
-  auto push_open = [&](TimeStep f, TimeStep g, std::int64_t serial,
-                       std::int32_t label) {
-    if (use_bucket) {
-      bucket_.Push(f, f - g, BucketNode{label});
-    } else {
-      open_.push_back(OpenNode{f, g, serial, label});
-      std::push_heap(open_.begin(), open_.end(), OpenNodeCmp{});
-    }
-  };
-  auto open_empty = [&] {
-    return use_bucket ? bucket_.empty() : open_.empty();
-  };
-  auto open_live = [&] { return use_bucket ? bucket_.size() : open_.size(); };
-  auto pop_open = [&]() -> OpenNode {
-    if (use_bucket) {
-      const auto item = bucket_.Pop();
-      return OpenNode{item.f, item.f - item.h, 0, item.payload.label};
-    }
-    const OpenNode node = open_.front();
-    std::pop_heap(open_.begin(), open_.end(), OpenNodeCmp{});
-    open_.pop_back();
-    return node;
+  // Same dial keys as the time-expanded engine: ascending f, then
+  // ascending h = f - g (prefer deeper g), then FIFO.
+  auto push_open = [&](TimeStep f, TimeStep g, std::int32_t label) {
+    open_.Push(f, f - g, label);
   };
 
   const std::int32_t goal_index =
       static_cast<std::int32_t>(matrix_.Index(destination));
-  std::int64_t serial = 0;
 
   const std::int32_t root_interval =
       intervals_.FindContaining(origin, start_time);
@@ -96,19 +70,20 @@ std::optional<Route> SippAStar::Plan(const ReservationTable& reservations,
                           static_cast<std::uint32_t>(root_interval),
                           start_time, -1});
   label_of_interval_[static_cast<std::size_t>(root_interval)] = 0;
-  push_open(lower_bound(origin), 0, serial++, 0);
+  push_open(lower_bound(origin), 0, 0);
   stats_.generated = 1;
 
   std::int32_t goal_label = -1;
   GridCoord nbrs[4];
-  while (!open_empty()) {
-    const OpenNode cur = pop_open();
+  while (!open_.empty()) {
+    const auto item = open_.Pop();
+    const std::int32_t cur = item.payload;
     stats_.peak_open_bytes = std::max(
-        stats_.peak_open_bytes, (open_live() + 1) * sizeof(OpenNode));
-    const Label& top = labels_[static_cast<std::size_t>(cur.label)];
-    if (top.arrival - start_time != cur.g) continue;  // stale (improved)
+        stats_.peak_open_bytes, (open_.size() + 1) * kOpenEntryBytes);
+    const Label& top = labels_[static_cast<std::size_t>(cur)];
+    if (top.arrival - start_time != item.f - item.h) continue;  // stale
     if (top.cell == goal_index) {
-      goal_label = cur.label;
+      goal_label = cur;
       break;
     }
     if (++stats_.expanded > options.max_expansions) return std::nullopt;
@@ -156,18 +131,18 @@ std::optional<Route> SippAStar::Plan(const ReservationTable& reservations,
           Label& lbl = labels_[static_cast<std::size_t>(existing)];
           if (lbl.arrival <= arrival) continue;
           lbl.arrival = arrival;
-          lbl.parent = cur.label;
+          lbl.parent = cur;
           push_open(arrival - start_time + lower_bound(next),
-                    arrival - start_time, serial++, existing);
+                    arrival - start_time, existing);
         } else {
           const std::int32_t fresh =
               static_cast<std::int32_t>(labels_.size());
           labels_.push_back(
               Label{static_cast<std::int32_t>(matrix_.Index(next)), j,
-                    arrival, cur.label});
+                    arrival, cur});
           label_of_interval_[static_cast<std::size_t>(j)] = fresh;
           push_open(arrival - start_time + lower_bound(next),
-                    arrival - start_time, serial++, fresh);
+                    arrival - start_time, fresh);
         }
         ++stats_.generated;
       }

@@ -37,7 +37,7 @@ namespace carp::core {
 /// to swap with, and the one oracle probe mirrors the time-expanded
 /// engine's IsMoveAllowed check exactly.
 ///
-/// Owns its workspace (interval map, labels, open lists) and reuses the
+/// Owns its workspace (interval map, labels, open list) and reuses the
 /// allocations across Plan calls. Not safe for concurrent Plan calls on
 /// one instance — each worker owns its engine.
 class SippAStar {
@@ -58,7 +58,7 @@ class SippAStar {
     std::size_t open_capacity = 0;
   };
   ScratchFootprint scratch_footprint() const {
-    return {labels_.capacity(), open_.capacity() + bucket_.RetainedSlots()};
+    return {labels_.capacity(), open_.RetainedSlots()};
   }
 
  private:
@@ -71,22 +71,9 @@ class SippAStar {
     TimeStep arrival = 0;
     std::int32_t parent = -1;  // label index, -1 at the root
   };
-  struct OpenNode {
-    TimeStep f;
-    TimeStep g;
-    std::int64_t serial;
-    std::int32_t label;
-  };
-  struct OpenNodeCmp {
-    bool operator()(const OpenNode& a, const OpenNode& b) const {
-      if (a.f != b.f) return a.f > b.f;
-      if (a.g != b.g) return a.g < b.g;  // deeper nodes first
-      return a.serial > b.serial;
-    }
-  };
-  struct BucketNode {
-    std::int32_t label = 0;
-  };
+  /// Bytes charged per live open-list entry in peak_open_bytes: one
+  /// (f, g, tie-break, label) record (see SpaceTimeAStar::kOpenEntryBytes).
+  static constexpr std::size_t kOpenEntryBytes = 32;
 
   const WarehouseMatrix& matrix_;
   SpaceTimeAStarStats stats_;
@@ -95,8 +82,7 @@ class SippAStar {
   // Arena interval index -> label index (-1 = none yet); sized to the
   // arena lazily, so only touched intervals cost a slot.
   std::vector<std::int32_t> label_of_interval_;
-  std::vector<OpenNode> open_;      // binary heap (SearchQueue::kHeap)
-  BucketQueue<BucketNode> bucket_;  // dial open list (SearchQueue::kBucket)
+  BucketQueue<std::int32_t> open_;  // payload: label index
 };
 
 /// The engine pair every grid baseline plans through: a time-expanded

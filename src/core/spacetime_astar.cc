@@ -93,48 +93,20 @@ std::optional<Route> SpaceTimeAStar::Plan(
                                       : start_time + options.window;
   auto collision_checked = [&](TimeStep t) { return t < aware_until; };
 
-  // Which open list runs this query. Planners resolve once at construction
-  // and pass a concrete mode; a raw kAuto (direct engine use) resolves here.
-  SearchQueue queue = options.queue;
-  if (queue == SearchQueue::kAuto) queue = ResolveSearchQueue(queue);
-  const bool use_bucket = queue == SearchQueue::kBucket;
-
   // Parent tracking: (cell, t) -> predecessor (cell, t-1). The closed set is
-  // implicit in the parent map's keys. All workspaces retain their
+  // implicit in the parent map's keys. Both workspaces retain their
   // allocations across queries.
   parents_.Reset();
-  open_.clear();
-  bucket_.Clear();
-  // Bucket keys reproduce the heap comparator exactly: ascending f, then
-  // ascending h = f - g (the heap prefers deeper g), then FIFO (the heap
-  // prefers smaller serials). Pop recovers g as f - h.
-  auto push_open = [&](OpenNode node) {
-    if (use_bucket) {
-      bucket_.Push(node.f, node.f - node.g, BucketNode{node.cell, node.t});
-    } else {
-      open_.push_back(node);
-      std::push_heap(open_.begin(), open_.end(), OpenNodeCmp{});
-    }
-  };
-  auto open_empty = [&] {
-    return use_bucket ? bucket_.empty() : open_.empty();
-  };
-  auto open_live = [&] { return use_bucket ? bucket_.size() : open_.size(); };
-  auto pop_open = [&]() -> OpenNode {
-    if (use_bucket) {
-      const auto item = bucket_.Pop();
-      return OpenNode{item.f, item.f - item.h, 0, item.payload.cell,
-                      item.payload.t};
-    }
-    const OpenNode node = open_.front();
-    std::pop_heap(open_.begin(), open_.end(), OpenNodeCmp{});
-    open_.pop_back();
-    return node;
+  open_.Clear();
+  // Dial keys: ascending f, then ascending h = f - g (deeper nodes first),
+  // then FIFO. Pop recovers g as f - h.
+  auto push_open = [&](TimeStep f, TimeStep g, GridCoord cell, TimeStep t) {
+    open_.Push(f, f - g,
+               OpenNode{static_cast<std::int32_t>(matrix_.Index(cell)), t});
   };
 
   const std::int32_t goal_index =
       static_cast<std::int32_t>(matrix_.Index(destination));
-  std::int64_t serial = 0;
 
   if (collision_checked(start_time) &&
       !reservations.IsFree(origin, start_time)) {
@@ -142,18 +114,17 @@ std::optional<Route> SpaceTimeAStar::Plan(
   }
 
   parents_.EmplaceIfAbsent(SpaceTimeKey(origin, start_time), -1);
-  push_open(OpenNode{lower_bound(origin), 0, serial++,
-                     static_cast<std::int32_t>(matrix_.Index(origin)),
-                     start_time});
+  push_open(lower_bound(origin), 0, origin, start_time);
   stats_.generated = 1;
 
   std::optional<SpaceTimeKey> goal_key;
   GridCoord nbrs[4];
-  while (!open_empty()) {
-    const OpenNode cur = pop_open();
-    stats_.peak_open_bytes =
-        std::max(stats_.peak_open_bytes,
-                 (open_live() + 1) * sizeof(OpenNode));
+  while (!open_.empty()) {
+    const auto item = open_.Pop();
+    const OpenNode cur = item.payload;
+    const TimeStep g = item.f - item.h;
+    stats_.peak_open_bytes = std::max(
+        stats_.peak_open_bytes, (open_.size() + 1) * kOpenEntryBytes);
     const GridCoord cell = matrix_.CoordOf(cur.cell);
     if (cur.cell == goal_index) {
       goal_key = SpaceTimeKey(cell, cur.t);
@@ -175,10 +146,7 @@ std::optional<Route> SpaceTimeAStar::Plan(
       }
       const SpaceTimeKey key(next, cur.t + 1);
       if (!parents_.EmplaceIfAbsent(key, cur.cell)) return;
-      const TimeStep g = cur.g + 1;
-      push_open(OpenNode{g + lower_bound(next), g, serial++,
-                         static_cast<std::int32_t>(matrix_.Index(next)),
-                         cur.t + 1});
+      push_open(g + 1 + lower_bound(next), g + 1, next, cur.t + 1);
       ++stats_.generated;
     };
 

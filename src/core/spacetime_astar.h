@@ -8,7 +8,6 @@
 #include "common/types.h"
 #include "core/bucket_queue.h"
 #include "core/search_engine.h"
-#include "core/search_queue.h"
 #include "core/spacetime_key.h"
 #include "core/spacetime_oracle.h"
 #include "core/route.h"
@@ -40,14 +39,6 @@ struct SpaceTimeAStarOptions {
   /// HeuristicTableCache's shared_ptr snapshots). Exact distances remain
   /// admissible and consistent, so routes stay earliest-arrival.
   const HeuristicTable* heuristic = nullptr;
-
-  /// Which open-list implementation runs the search. kAuto resolves via
-  /// ResolveSearchQueue (CARP_FORCE_QUEUE, then the bucket default) at the
-  /// top of Plan; planners resolve once at construction and pass a
-  /// concrete mode down. Heap and bucket expand nodes in the exact same
-  /// order (the dial reproduces the heap's (f asc, g desc, serial asc)
-  /// total order), so routes, costs, and expansion counts are identical.
-  SearchQueue queue = SearchQueue::kAuto;
 
   /// Which engine answers the query when planning against a concrete
   /// ReservationTable (SearchEngineDriver dispatch — DESIGN.md §2k).
@@ -124,7 +115,7 @@ class ParentMap {
 /// the optional true-distance table) are admissible, so returned routes
 /// arrive as early as possible given the constraints.
 ///
-/// The engine owns its search workspace (parent map + open heap) and reuses
+/// The engine owns its search workspace (parent map + open list) and reuses
 /// the allocations across Plan calls; steady-state queries allocate nothing
 /// beyond the returned Route. Not safe for concurrent Plan calls on one
 /// instance — each worker owns its engine (see SearchContext / Search).
@@ -142,31 +133,22 @@ class SpaceTimeAStar {
   /// Retained workspace sizes, for allocation-stability tests.
   struct ScratchFootprint {
     std::size_t parent_slots = 0;    // parent-map slot capacity
-    std::size_t open_capacity = 0;   // open-list retained slots (heap
-                                     // vector capacity + bucket cells)
+    std::size_t open_capacity = 0;   // open-list retained payload slots
   };
   ScratchFootprint scratch_footprint() const {
-    return {parents_.capacity(), open_.capacity() + bucket_.RetainedSlots()};
+    return {parents_.capacity(), open_.RetainedSlots()};
   }
 
  private:
-  struct OpenNode {
-    TimeStep f;
-    TimeStep g;           // equals arrival time - start_time
-    std::int64_t serial;  // FIFO tie-break for equal (f, g)
-    std::int32_t cell;
-    TimeStep t;
-  };
-  struct OpenNodeCmp {
-    bool operator()(const OpenNode& a, const OpenNode& b) const {
-      if (a.f != b.f) return a.f > b.f;
-      if (a.g != b.g) return a.g < b.g;  // deeper nodes first
-      return a.serial > b.serial;
-    }
-  };
-  /// Bucket-mode payload: f and h = f - g live in the dial's keys, so the
+  /// Bytes charged per live open-list entry in peak_open_bytes, the
+  /// open-list share of the MC metric: one (f, g, tie-break, cell, t)
+  /// record. A fixed charge keeps MC independent of how the open list
+  /// packs its entries.
+  static constexpr std::size_t kOpenEntryBytes = 40;
+
+  /// Open-list payload: f and h = f - g live in the dial's keys, so the
   /// queue stores only what they can't recover.
-  struct BucketNode {
+  struct OpenNode {
     std::int32_t cell = 0;
     TimeStep t = 0;
   };
@@ -174,8 +156,7 @@ class SpaceTimeAStar {
   const WarehouseMatrix& matrix_;
   SpaceTimeAStarStats stats_;
   internal_astar::ParentMap parents_;  // closed set is implicit in its keys
-  std::vector<OpenNode> open_;         // binary heap via push/pop_heap
-  BucketQueue<BucketNode> bucket_;     // dial open list (SearchQueue::kBucket)
+  BucketQueue<OpenNode> open_;
 };
 
 }  // namespace carp::core

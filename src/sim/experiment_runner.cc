@@ -31,8 +31,6 @@ std::vector<RunMetrics> RunExperiment(const ExperimentConfig& config) {
     for (const std::string& algorithm : config.algorithms) {
       baselines::PlannerBuildOptions build;
       build.heuristic = config.simulator.heuristic;
-      build.kernel = config.simulator.kernel;
-      build.queue = config.simulator.queue;
       build.engine = config.simulator.engine;
       auto planner =
           baselines::MakePlanner(algorithm, warehouse.matrix, build);

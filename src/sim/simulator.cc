@@ -70,11 +70,10 @@ RunMetrics Simulator::Run(const std::vector<DeliveryTask>& tasks) {
 
   // Route lifecycle (retire_routes): every stage route is released the
   // moment its StageDone event fires, and PruneBefore runs on the
-  // prune_every cadence. Released routes are archived (validation only) so
-  // the end-of-run collision oracle still covers the *whole* day, not just
-  // the routes that happen to survive in the planner's log.
+  // prune_every cadence. Released routes are archived in retired_
+  // (validation only) so the end-of-run collision oracle still covers the
+  // whole history, not just the routes that survive in the planner's log.
   const bool retire = options_.retire_routes;
-  std::vector<core::Route> retired;
   PruneCadence prune_cadence{options_.prune_every, options_.prune_slack,
                              /*last=*/0};
 
@@ -276,7 +275,7 @@ RunMetrics Simulator::Run(const std::vector<DeliveryTask>& tasks) {
       // reservations are entirely in the past, so retiring it cannot
       // change any future planning decision.
       if (planner_.ReleaseRoute(*ev.route)) ++metrics.routes_released;
-      if (options_.validate) retired.push_back(std::move(*ev.route));
+      if (options_.validate) retired_.push_back(std::move(*ev.route));
     }
 
     switch (ev.kind) {
@@ -363,17 +362,20 @@ RunMetrics Simulator::Run(const std::vector<DeliveryTask>& tasks) {
 
   if (options_.validate) {
     metrics.validated = true;
-    if (retired.empty()) {
+    if (retired_.empty()) {
       metrics.collision_free = core::RouteSetValidator::IsCollisionFree(
           planner_.committed_routes());
     } else {
-      // With retirement on, the oracle must see the whole day: routes
-      // released during this run plus whatever is still live (including
-      // routes committed by earlier runs sharing this planner).
-      std::vector<core::Route> all = std::move(retired);
+      // With retirement on, the oracle must see the whole history: routes
+      // released by this and earlier runs plus whatever is still live. The
+      // live routes join the archive only for the check.
+      const std::size_t archived = retired_.size();
       const auto& live = planner_.committed_routes();
-      all.insert(all.end(), live.begin(), live.end());
-      metrics.collision_free = core::RouteSetValidator::IsCollisionFree(all);
+      retired_.insert(retired_.end(), live.begin(), live.end());
+      metrics.collision_free =
+          core::RouteSetValidator::IsCollisionFree(retired_);
+      retired_.erase(retired_.begin() + static_cast<std::ptrdiff_t>(archived),
+                     retired_.end());
     }
   }
   return metrics;

@@ -7,7 +7,6 @@
 #include "core/heuristic_table.h"
 #include "core/planner.h"
 #include "core/search_engine.h"
-#include "core/search_queue.h"
 #include "layout/layout_generator.h"
 #include "sim/assignment.h"
 #include "sim/event_trace.h"
@@ -63,22 +62,11 @@ struct SimulatorOptions {
   /// behaviour.)
   core::HeuristicMode heuristic = core::HeuristicMode::kTable;
 
-  /// Survivor-scan kernel requested for the SRP segment stores (kAuto =
-  /// CPUID + CARP_FORCE_KERNEL). Like `heuristic`, this reaches the
-  /// planner through baselines::PlannerBuildOptions; grid-based baselines
-  /// ignore it.
-  core::CollisionKernel kernel = core::CollisionKernel::kAuto;
-
-  /// Open-list implementation requested for every search core (kAuto =
-  /// CARP_FORCE_QUEUE, then the bucket default). Reaches the planner
-  /// through baselines::PlannerBuildOptions like `kernel` does; heap and
-  /// bucket produce identical routes, so this only moves wall-clock.
-  core::SearchQueue queue = core::SearchQueue::kAuto;
-
-  /// Search engine requested for every planner (kAuto = CARP_FORCE_ENGINE,
-  /// then the time-expanded default). Reaches the planner through
-  /// baselines::PlannerBuildOptions like `queue` does. The engines
-  /// guarantee equal route costs, not identical routes (DESIGN.md §2k).
+  /// Search engine requested for the grid-based planners (kAuto =
+  /// CARP_FORCE_ENGINE, then the time-expanded default). Like `heuristic`,
+  /// this reaches the planner through baselines::PlannerBuildOptions. The
+  /// engines guarantee equal route costs, not identical routes
+  /// (DESIGN.md §2k).
   core::SearchEngine engine = core::SearchEngine::kAuto;
 
   /// Optional structured event sink (not owned); nullptr disables tracing.
@@ -100,13 +88,20 @@ class Simulator {
   Simulator(const layout::Warehouse& warehouse, core::Planner& planner,
             const SimulatorOptions& options = {});
 
-  /// Runs one operating day to completion and returns its metrics.
+  /// Runs one operating day to completion and returns its metrics. With
+  /// validation on, the collision oracle covers every route committed
+  /// through this simulator so far — consecutive days on one planner are
+  /// validated as one concatenated history, including routes earlier days
+  /// already retired.
   RunMetrics Run(const std::vector<workload::DeliveryTask>& tasks);
 
  private:
   const layout::Warehouse& warehouse_;
   core::Planner& planner_;
   SimulatorOptions options_;
+  // Routes retired by every Run so far (validation only): the planner's
+  // log no longer holds them, but later days must not collide with them.
+  std::vector<core::Route> retired_;
 };
 
 }  // namespace carp::sim

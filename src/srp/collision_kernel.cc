@@ -2,6 +2,8 @@
 
 #include <cstddef>
 
+#include "common/logging.h"
+
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
 #define CARP_KERNEL_COMPILES_AVX2 1
@@ -11,24 +13,6 @@
 #endif
 
 namespace carp::srp::internal_store {
-
-namespace {
-
-constexpr std::size_t kSlots = kKernelBlockSlots;
-
-/// Bit i set iff slot i is live. A null `dead` array means no slot in the
-/// store ever died — including the padding slots, whose other sentinel
-/// coordinates are what excludes them then.
-std::uint64_t LiveMask(const std::uint8_t* dead) {
-  if (dead == nullptr) return ~std::uint64_t{0};
-  std::uint64_t live = 0;
-  for (std::size_t i = 0; i < kSlots; ++i) {
-    live |= static_cast<std::uint64_t>(dead[i] == 0 ? 1u : 0u) << i;
-  }
-  return live;
-}
-
-}  // namespace
 
 bool BuildSegmentProbe(std::int64_t ct0, std::int64_t cp0, std::int64_t ct1,
                        std::int64_t cp1, const std::int64_t klo[3],
@@ -44,106 +28,13 @@ bool BuildSegmentProbe(std::int64_t ct0, std::int64_t cp0, std::int64_t ct1,
   return ok;
 }
 
-SurvivorMasks SegmentSurvivorsBatched(const std::int32_t* t0,
-                                      const std::int32_t* p0,
-                                      const std::int32_t* t1,
-                                      const std::int32_t* p1,
-                                      const std::uint8_t* dead,
-                                      const SegmentProbe& probe) {
-  std::uint64_t time = 0;
-  std::uint64_t surv = 0;
-  for (std::size_t i = 0; i < kSlots; ++i) {
-    const unsigned time_ok =
-        static_cast<unsigned>(t0[i] <= probe.ct1) &
-        static_cast<unsigned>(t1[i] >= probe.ct0);
-    const std::int32_t pmin = p0[i] < p1[i] ? p0[i] : p1[i];
-    const std::int32_t pmax = p0[i] < p1[i] ? p1[i] : p0[i];
-    const unsigned ext_ok = static_cast<unsigned>(pmax >= probe.min_pos) &
-                            static_cast<unsigned>(pmin <= probe.max_pos);
-    const int s = (p1[i] > p0[i]) - (p1[i] < p0[i]);
-    // 64-bit key math: irrelevant (tail / non-surviving) slots may hold
-    // coordinates whose 32-bit product would be UB in plain C++.
-    const std::int64_t key =
-        static_cast<std::int64_t>(p0[i]) -
-        static_cast<std::int64_t>(s) * static_cast<std::int64_t>(t0[i]);
-    const unsigned key_ok =
-        static_cast<unsigned>(key >= probe.klo[s + 1]) &
-        static_cast<unsigned>(key <= probe.khi[s + 1]);
-    time |= static_cast<std::uint64_t>(time_ok) << i;
-    surv |= static_cast<std::uint64_t>(time_ok & ext_ok & key_ok) << i;
-  }
-  const std::uint64_t live = LiveMask(dead);
-  return SurvivorMasks{time & live, surv & live};
-}
-
-OccupancyMasks SegmentOccupancyBatched(const std::int32_t* t0,
-                                       const std::int32_t* p0,
-                                       const std::int32_t* t1,
-                                       const std::int32_t* p1,
-                                       const std::uint8_t* dead,
-                                       std::int32_t t, std::int32_t pos) {
-  std::uint64_t covering = 0;
-  std::uint64_t hits = 0;
-  for (std::size_t i = 0; i < kSlots; ++i) {
-    const unsigned cover = static_cast<unsigned>(t0[i] <= t) &
-                           static_cast<unsigned>(t1[i] >= t);
-    const int s = (p1[i] > p0[i]) - (p1[i] < p0[i]);
-    const std::int64_t at =
-        static_cast<std::int64_t>(p0[i]) +
-        static_cast<std::int64_t>(s) * (static_cast<std::int64_t>(t) - t0[i]);
-    const unsigned hit = cover & static_cast<unsigned>(at == pos);
-    covering |= static_cast<std::uint64_t>(cover) << i;
-    hits |= static_cast<std::uint64_t>(hit) << i;
-  }
-  const std::uint64_t live = LiveMask(dead);
-  return OccupancyMasks{covering & live, hits & live};
-}
-
-LineForwardMasks LineForwardBatched(const std::int64_t* key,
-                                    const std::int32_t* t0,
-                                    const std::int32_t* t1,
-                                    const std::uint8_t* dead,
-                                    std::int64_t probe_key, std::int32_t ct0,
-                                    std::int32_t ct1) {
-  std::uint64_t hits = 0;
-  std::uint64_t stops = 0;
-  for (std::size_t i = 0; i < kSlots; ++i) {
-    const unsigned keq = static_cast<unsigned>(key[i] == probe_key);
-    const unsigned hit = keq & static_cast<unsigned>(t0[i] <= ct1) &
-                         static_cast<unsigned>(t1[i] >= ct0);
-    const unsigned stop = static_cast<unsigned>(key[i] > probe_key) |
-                          static_cast<unsigned>(t0[i] > ct1);
-    hits |= static_cast<std::uint64_t>(hit) << i;
-    stops |= static_cast<std::uint64_t>(stop) << i;
-  }
-  return LineForwardMasks{hits & LiveMask(dead), stops};
-}
-
-LineCoverMasks LineCoverBatched(const std::int64_t* key,
-                                const std::int32_t* t0,
-                                const std::int32_t* t1,
-                                const std::uint8_t* dead,
-                                std::int64_t probe_key, std::int32_t t,
-                                std::int32_t cutoff) {
-  std::uint64_t hits = 0;
-  std::uint64_t key_below = 0;
-  std::uint64_t below_reach = 0;
-  for (std::size_t i = 0; i < kSlots; ++i) {
-    const unsigned keq = static_cast<unsigned>(key[i] == probe_key);
-    const unsigned hit = keq & static_cast<unsigned>(t0[i] <= t) &
-                         static_cast<unsigned>(t1[i] >= t);
-    hits |= static_cast<std::uint64_t>(hit) << i;
-    key_below |= static_cast<std::uint64_t>(key[i] < probe_key ? 1u : 0u) << i;
-    below_reach |= static_cast<std::uint64_t>(t0[i] < cutoff ? 1u : 0u) << i;
-  }
-  return LineCoverMasks{hits & LiveMask(dead), key_below, below_reach};
-}
-
 #if CARP_KERNEL_COMPILES_AVX2
 
 #define CARP_AVX2_FN __attribute__((target("avx2")))
 
 namespace {
+
+constexpr std::size_t kSlots = kKernelBlockSlots;
 
 /// 8 sign bits of an int32 compare-mask vector as bits [0, 8).
 CARP_AVX2_FN inline std::uint32_t GroupBits(__m256i mask) {
@@ -375,42 +266,37 @@ LineCoverMasks LineCoverAvx2(const std::int64_t* key, const std::int32_t* t0,
 
 #else  // !CARP_KERNEL_COMPILES_AVX2
 
-// Non-x86 (or non-GNU) builds cannot compile the intrinsics; runtime
-// dispatch never selects kAvx2 there (CpuSupportsAvx2 is false), and these
-// forwards keep any direct caller — tests, the bench harness — correct.
+// Builds that cannot compile the intrinsics never select kAvx2 at runtime
+// (CpuSupportsAvx2 is false there), so reaching any of these is a
+// dispatch bug.
 
-SurvivorMasks SegmentSurvivorsAvx2(const std::int32_t* t0,
-                                   const std::int32_t* p0,
-                                   const std::int32_t* t1,
-                                   const std::int32_t* p1,
-                                   const std::uint8_t* dead,
-                                   const SegmentProbe& probe) {
-  return SegmentSurvivorsBatched(t0, p0, t1, p1, dead, probe);
+SurvivorMasks SegmentSurvivorsAvx2(const std::int32_t*, const std::int32_t*,
+                                   const std::int32_t*, const std::int32_t*,
+                                   const std::uint8_t*, const SegmentProbe&) {
+  CARP_CHECK(false) << "AVX2 kernel called on a build without AVX2";
+  return {};
 }
 
-OccupancyMasks SegmentOccupancyAvx2(const std::int32_t* t0,
-                                    const std::int32_t* p0,
-                                    const std::int32_t* t1,
-                                    const std::int32_t* p1,
-                                    const std::uint8_t* dead, std::int32_t t,
-                                    std::int32_t pos) {
-  return SegmentOccupancyBatched(t0, p0, t1, p1, dead, t, pos);
+OccupancyMasks SegmentOccupancyAvx2(const std::int32_t*, const std::int32_t*,
+                                    const std::int32_t*, const std::int32_t*,
+                                    const std::uint8_t*, std::int32_t,
+                                    std::int32_t) {
+  CARP_CHECK(false) << "AVX2 kernel called on a build without AVX2";
+  return {};
 }
 
-LineForwardMasks LineForwardAvx2(const std::int64_t* key,
-                                 const std::int32_t* t0,
-                                 const std::int32_t* t1,
-                                 const std::uint8_t* dead,
-                                 std::int64_t probe_key, std::int32_t ct0,
-                                 std::int32_t ct1) {
-  return LineForwardBatched(key, t0, t1, dead, probe_key, ct0, ct1);
+LineForwardMasks LineForwardAvx2(const std::int64_t*, const std::int32_t*,
+                                 const std::int32_t*, const std::uint8_t*,
+                                 std::int64_t, std::int32_t, std::int32_t) {
+  CARP_CHECK(false) << "AVX2 kernel called on a build without AVX2";
+  return {};
 }
 
-LineCoverMasks LineCoverAvx2(const std::int64_t* key, const std::int32_t* t0,
-                             const std::int32_t* t1, const std::uint8_t* dead,
-                             std::int64_t probe_key, std::int32_t t,
-                             std::int32_t cutoff) {
-  return LineCoverBatched(key, t0, t1, dead, probe_key, t, cutoff);
+LineCoverMasks LineCoverAvx2(const std::int64_t*, const std::int32_t*,
+                             const std::int32_t*, const std::uint8_t*,
+                             std::int64_t, std::int32_t, std::int32_t) {
+  CARP_CHECK(false) << "AVX2 kernel called on a build without AVX2";
+  return {};
 }
 
 #endif  // CARP_KERNEL_COMPILES_AVX2

@@ -12,17 +12,14 @@ namespace carp::srp::internal_store {
 inline constexpr std::size_t kKernelBlockSlots = 64;
 
 /// Minimum number of slots a scan must cover inside a block before the
-/// lane kernels are worth dispatching. A lane call always pays for the
-/// whole 64-slot block, while the scalar loops early-exit — on the
-/// slope-indexed store's tiny scan windows (typically a handful of slots)
-/// the scalar loop wins outright. Gating on the in-block span is
-/// parity-safe because both paths produce identical answers and identical
-/// examined/pruned tallies; only lanes_processed/lanes_survived (lane-only
-/// diagnostics) change. Tuned on the W-2 churn workload: the batched
-/// kernel's straight-line 64-slot pass costs roughly a full scalar block,
-/// so it needs a wide span to break even; an AVX2 call is a dozen vector
+/// AVX2 kernel is worth dispatching. A lane call always pays for the whole
+/// 64-slot block, while the scalar loops early-exit — on the slope-indexed
+/// store's tiny scan windows (typically a handful of slots) the scalar
+/// loop wins outright. Gating on the in-block span is parity-safe because
+/// both paths produce identical answers and identical examined/pruned
+/// tallies; only lanes_processed/lanes_survived (lane-only diagnostics)
+/// change. Tuned on the W-2 churn workload: an AVX2 call is a dozen vector
 /// ops and already beats the scalar loop on short partial-edge spans.
-inline constexpr std::size_t kMinLaneSpanBatched = 16;
 inline constexpr std::size_t kMinLaneSpanAvx2 = 4;
 
 /// Narrows an int64 scan threshold to int32 for the lane kernels' 32-bit
@@ -61,7 +58,7 @@ bool BuildSegmentProbe(std::int64_t ct0, std::int64_t cp0, std::int64_t ct1,
                        const std::int64_t khi[3], SegmentProbe* out);
 
 /// Bit i of each mask describes slot i of the 64-slot block (bit 0 = first
-/// slot). All kernels read whole, padded, 64-byte-aligned blocks — no
+/// slot). The kernels read whole, padded, 64-byte-aligned blocks — no
 /// range masking — relying on the sentinel tails to self-exclude.
 ///
 /// `time` is the set the scalar loop would run its counted prefilters on
@@ -70,24 +67,17 @@ bool BuildSegmentProbe(std::int64_t ct0, std::int64_t cp0, std::int64_t ct1,
 /// exact packed predicate runs on. For every kernel and any block,
 /// popcount(time) - popcount(survivors) slots were "pruned by summary" and
 /// popcount(survivors) were "examined" — identical to the scalar tallies.
+///
+/// The kernels are hand-written AVX2 intrinsics compiled with a
+/// per-function target attribute, so no file in the build needs -mavx2.
+/// Callers must only invoke them when core::CpuSupportsAvx2() holds (the
+/// stores' resolved kernel guarantees it); builds that cannot compile the
+/// intrinsics abort on any call.
 struct SurvivorMasks {
   std::uint64_t time = 0;
   std::uint64_t survivors = 0;
 };
 
-/// The batched variants are plain C++ written mask-parallel (straight-line
-/// per-slot bit math, no early exits) so the autovectorizer can profitably
-/// vectorize them on any target; the Avx2 variants are hand-written
-/// intrinsics compiled with a per-function target attribute, so no file in
-/// the build needs -mavx2 and non-AVX2 hosts simply never call them (they
-/// degrade to the batched form where the ISA is unavailable at compile
-/// time). All variants return bit-identical masks.
-SurvivorMasks SegmentSurvivorsBatched(const std::int32_t* t0,
-                                      const std::int32_t* p0,
-                                      const std::int32_t* t1,
-                                      const std::int32_t* p1,
-                                      const std::uint8_t* dead,
-                                      const SegmentProbe& probe);
 SurvivorMasks SegmentSurvivorsAvx2(const std::int32_t* t0,
                                    const std::int32_t* p0,
                                    const std::int32_t* t1,
@@ -103,12 +93,6 @@ struct OccupancyMasks {
   std::uint64_t hits = 0;
 };
 
-OccupancyMasks SegmentOccupancyBatched(const std::int32_t* t0,
-                                       const std::int32_t* p0,
-                                       const std::int32_t* t1,
-                                       const std::int32_t* p1,
-                                       const std::uint8_t* dead,
-                                       std::int32_t t, std::int32_t pos);
 OccupancyMasks SegmentOccupancyAvx2(const std::int32_t* t0,
                                     const std::int32_t* p0,
                                     const std::int32_t* t1,
@@ -128,12 +112,6 @@ struct LineForwardMasks {
   std::uint64_t stops = 0;
 };
 
-LineForwardMasks LineForwardBatched(const std::int64_t* key,
-                                    const std::int32_t* t0,
-                                    const std::int32_t* t1,
-                                    const std::uint8_t* dead,
-                                    std::int64_t probe_key, std::int32_t ct0,
-                                    std::int32_t ct1);
 LineForwardMasks LineForwardAvx2(const std::int64_t* key,
                                  const std::int32_t* t0,
                                  const std::int32_t* t1,
@@ -152,12 +130,6 @@ struct LineCoverMasks {
   std::uint64_t below_reach = 0;
 };
 
-LineCoverMasks LineCoverBatched(const std::int64_t* key,
-                                const std::int32_t* t0,
-                                const std::int32_t* t1,
-                                const std::uint8_t* dead,
-                                std::int64_t probe_key, std::int32_t t,
-                                std::int32_t cutoff);
 LineCoverMasks LineCoverAvx2(const std::int64_t* key, const std::int32_t* t0,
                              const std::int32_t* t1, const std::uint8_t* dead,
                              std::int64_t probe_key, std::int32_t t,

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "core/search_engine.h"
 #include "srp/segment_store.h"
 
 namespace carp::srp {
@@ -27,13 +26,6 @@ struct IntraPlanOptions {
   /// Total collision-query budget per call.
   std::int64_t max_probes = 16;
 
-  /// Wait-cap machinery (DESIGN.md §2k). The owning planner passes a
-  /// *resolved* engine (never kAuto). kSipp swaps each stop position's
-  /// wait-cap store probe for a lookup against that position's cached
-  /// safe intervals (derived once per position per call from the store's
-  /// busy runs); answers and the probe budget accounting are identical to
-  /// the time-expanded probe, so routes are bit-identical across engines.
-  core::SearchEngine engine = core::SearchEngine::kAstar;
 };
 
 /// Result of intra-strip planning: the route's space-time occupancy within
@@ -46,16 +38,8 @@ struct IntraPlan {
   /// of the last segment).
   TimeStep arrival = 0;
 
-  /// Collision queries spent (diagnostics). Counts identically under both
-  /// engines: a SIPP wait-cap interval lookup bills exactly the one probe
-  /// the store query it replaces would have billed.
+  /// Collision queries spent (diagnostics).
   std::int64_t probes = 0;
-
-  /// SIPP engine only: free intervals derived (busy runs + the trailing
-  /// open interval, per position derived) and wait caps answered from the
-  /// interval cache. Zero under the time-expanded engine.
-  std::int64_t intervals_built = 0;
-  std::int64_t interval_expansions = 0;
 };
 
 /// The segment-based route planner within a single strip (Alg. 2).

@@ -41,31 +41,18 @@ struct SegmentStoreStats {
   std::int64_t by_line_tombstones = 0;
   std::int64_t by_line_compactions = 0;
   std::int64_t by_line_shrinks = 0;
-  // Lane-kernel utilization: slots covered by lane-batched block scans and
-  // how many of them survived every prefilter (scalar scans tally neither).
+  // Lane-kernel utilization: slots covered by AVX2 block scans and how
+  // many of them survived every prefilter (scalar scans tally neither).
   std::int64_t lanes_processed = 0;
   std::int64_t lanes_survived = 0;
   // Fully-dead equal-key runs (line-index "buckets") erased by prune or
   // compaction passes. Such runs hold no live entry yet would still be
-  // walked by bucket scans and interval extraction until erased; the
-  // counter makes the cleanup observable (ISSUE: SIPP satellite).
+  // walked by bucket scans until erased; the counter makes the cleanup
+  // observable.
   std::int64_t buckets_erased = 0;
   // Which survivor-scan kernel this store resolved to at construction.
   core::CollisionKernel kernel = core::CollisionKernel::kScalar;
 };
-
-/// One maximal run [lo, hi] (closed, integer times) during which a strip
-/// position is continuously covered by live stored segments. The safe
-/// intervals of a position are exactly the gaps between its busy runs —
-/// the SIPP engine's intra-strip wait caps derive from them.
-struct TimeRun {
-  TimeStep lo = 0;
-  TimeStep hi = 0;
-};
-
-/// Sorts `runs` and merges overlapping or adjacent entries in place, so the
-/// result is the canonical ascending, disjoint, non-adjacent busy-run list.
-void MergeTimeRuns(std::vector<TimeRun>& runs);
 
 namespace internal_store {
 
@@ -161,7 +148,7 @@ struct ScanCounters {
   std::int64_t blocks_scanned = 0;     // blocks whose slots were inspected
   std::int64_t blocks_skipped = 0;     // blocks pruned by their summary
   std::int64_t pruned_by_summary = 0;  // candidates excluded w/o a predicate
-  std::int64_t lanes_processed = 0;    // slots covered by lane-batched scans
+  std::int64_t lanes_processed = 0;    // slots covered by AVX2 lane scans
   std::int64_t lanes_survived = 0;     // of those, slots passing every filter
 };
 
@@ -245,16 +232,6 @@ class SortedSegments {
   /// the probe window ([LowerBoundByReach(t), UpperBoundByStart(t))) and
   /// block-skips within it; exits on the first covering slot.
   bool OccupiedAt(std::int64_t pos, TimeStep t, ScanCounters& sc) const;
-
-  /// Appends one (unmerged, possibly out-of-order) busy run per live
-  /// segment that passes through position `pos` within [from, to]: a wait
-  /// segment at `pos` contributes its clipped time span, a moving segment
-  /// the single integer step at which it crosses `pos`. Block summaries
-  /// skip blocks whose live time window or position extent excludes the
-  /// probe — the same pruning the collision kernels use. Callers merge via
-  /// MergeTimeRuns. Scan work is tallied into `sc`.
-  void CollectBusyAt(std::int64_t pos, TimeStep from, TimeStep to,
-                     std::vector<TimeRun>& out, ScanCounters& sc) const;
 
   /// Number of slots (live + tombstoned) in the arrays.
   std::size_t slot_count() const { return t0_.size(); }
@@ -458,17 +435,6 @@ class SegmentStore {
     return EarliestCollisionTime(probe) != kInfiniteTime;
   }
 
-  /// Appends every maximal busy run of position `pos` within [from, to] —
-  /// ascending, disjoint, non-adjacent closed runs of integer times at
-  /// which some live segment passes through `pos`. The gaps between runs
-  /// are the position's safe intervals; the SIPP engine's intra-strip wait
-  /// caps are exact lookups against them (DESIGN.md §2k). The default
-  /// implementation walks the store's own collision queries (so wrapper
-  /// stores inherit injected faults); the concrete stores override with a
-  /// single block-skipped scan of their SoA sequences.
-  virtual void CollectBusyRuns(std::int64_t pos, TimeStep from, TimeStep to,
-                               std::vector<TimeRun>& out) const;
-
   /// Visits every live (non-tombstoned) stored segment, in unspecified
   /// order. Audit/differential machinery only — never on a planning path.
   virtual void ForEachLive(
@@ -601,10 +567,6 @@ class NaiveSegmentStore final : public SegmentStore {
   /// whole prefix the generic collision-query default would visit. This is
   /// on the boundary-crossing hot path whenever the slope index is off.
   bool OccupiedAt(std::int64_t pos, TimeStep t) const override;
-
-  /// One block-skipped scan of the single sorted sequence, merged.
-  void CollectBusyRuns(std::int64_t pos, TimeStep from, TimeStep to,
-                       std::vector<TimeRun>& out) const override;
 
   std::size_t size() const override { return segments_.size(); }
   std::size_t RetainedBytes() const override {

@@ -106,16 +106,6 @@ SrpPlanner::SrpPlanner(const core::WarehouseMatrix& matrix,
   fallback_options_.horizon =
       std::max<TimeStep>(fallback_options_.horizon,
                          4 * (matrix.height() + matrix.width()));
-  // Resolve the open-list implementation once (CARP_FORCE_QUEUE, then the
-  // bucket default) and pin the fallback engine to the same choice.
-  queue_ = core::ResolveSearchQueue(options_.queue);
-  fallback_options_.queue = queue_;
-  // Resolve the wait-cap engine once (CARP_FORCE_ENGINE, then the
-  // time-expanded default) and push it into the intra-strip budgets every
-  // PlanWithinStrip call receives.
-  engine_ = core::ResolveSearchEngine(options_.engine);
-  intra_options_ = options_.intra;
-  intra_options_.engine = engine_;
   if (options_.heuristic == core::HeuristicMode::kTable) {
     // Strip ids double as the table's regions, so each per-goal build also
     // yields the strip-level distance table (RegionMin) the inter-strip
@@ -301,41 +291,15 @@ std::optional<SrpPath> SrpPlanner::StaticFirstPlan(
   label_of(vo).arrival = 0;
   label_of(vo).entry_pos = graph_.strip(vo).PositionOf(origin);
 
-  // Both open lists implement the same total order — ascending f, FIFO among
-  // equal f (the dial's per-bucket FIFO, the heap's serial tie-break) — so
-  // the two modes settle strips identically. See core/bucket_queue.h.
-  auto qcmp = [](const QEntry& a, const QEntry& b) {
-    if (a.f != b.f) return a.f > b.f;
-    return a.serial > b.serial;
-  };
-  const bool bucket = queue_ == core::SearchQueue::kBucket;
-  std::vector<QEntry>& pq = search.queue;
-  core::BucketQueue<StripId>& bq = search.bucket;
-  pq.clear();
-  bq.Clear();
-  std::int64_t qserial = 0;
-  auto push_q = [&](TimeStep f, StripId strip) {
-    if (bucket) {
-      bq.Push(f, 0, strip);
-    } else {
-      pq.push_back(QEntry{f, qserial++, strip});
-      std::push_heap(pq.begin(), pq.end(), qcmp);
-    }
-  };
-  auto q_empty = [&] { return bucket ? bq.empty() : pq.empty(); };
-  auto pop_q = [&]() -> StripId {
-    if (bucket) return bq.Pop().payload;
-    const StripId strip = pq.front().strip;
-    std::pop_heap(pq.begin(), pq.end(), qcmp);
-    pq.pop_back();
-    return strip;
-  };
-  push_q(heuristic(origin), vo);
+  // Ascending f, FIFO among equal f (see core/bucket_queue.h).
+  core::BucketQueue<StripId>& open = search.open;
+  open.Clear();
+  open.Push(heuristic(origin), 0, vo);
 
   std::int64_t settled_count = 0;
   bool reached = false;
-  while (!q_empty()) {
-    const StripId u = pop_q();
+  while (!open.empty()) {
+    const StripId u = open.Pop().payload;
     Label& lu = label_of(u);
     if (lu.settled) continue;
     lu.settled = true;
@@ -424,7 +388,7 @@ std::optional<SrpPath> SrpPlanner::StaticFirstPlan(
       lv.entry_pos = cand.contact->pos_v;
       lv.pred = u;
       lv.pred_exit_pos = cand.contact->pos_u;
-      push_q(dist_v + weighted(lb_v), v);
+      open.Push(dist_v + weighted(lb_v), 0, v);
     }
   }
   if (!reached) return std::nullopt;
@@ -457,10 +421,8 @@ std::optional<SrpPath> SrpPlanner::StaticFirstPlan(
     const Hop& hop = chain[i];
     auto intra =
         PlanWithinStrip(*StoreOf(hop.strip), t, hop.entry, hop.exit,
-                        intra_options_);
+                        options_.intra);
     if (!intra.has_value()) return std::nullopt;
-    search.intervals_built += intra->intervals_built;
-    search.interval_expansions += intra->interval_expansions;
 
     StripLeg leg;
     leg.strip = hop.strip;
@@ -529,40 +491,15 @@ std::optional<SrpPath> SrpPlanner::InterStripSearch(
     return options_.use_goal_heuristic ? weighted(lower_bound(cell)) : 0;
   };
 
-  // Same (f asc, FIFO) total order in both modes; see StaticFirstPlan.
-  auto qcmp = [](const QEntry& a, const QEntry& b) {
-    if (a.f != b.f) return a.f > b.f;
-    return a.serial > b.serial;
-  };
-  const bool bucket = queue_ == core::SearchQueue::kBucket;
-  std::vector<QEntry>& pq = search.queue;
-  core::BucketQueue<StripId>& bq = search.bucket;
-  pq.clear();
-  bq.Clear();
-  std::int64_t qserial = 0;
-  auto push_q = [&](TimeStep f, StripId strip) {
-    if (bucket) {
-      bq.Push(f, 0, strip);
-    } else {
-      pq.push_back(QEntry{f, qserial++, strip});
-      std::push_heap(pq.begin(), pq.end(), qcmp);
-    }
-  };
-  auto q_empty = [&] { return bucket ? bq.empty() : pq.empty(); };
-  auto q_live = [&] { return bucket ? bq.size() : pq.size(); };
-  auto pop_q = [&]() -> StripId {
-    if (bucket) return bq.Pop().payload;
-    const StripId strip = pq.front().strip;
-    std::pop_heap(pq.begin(), pq.end(), qcmp);
-    pq.pop_back();
-    return strip;
-  };
-  push_q(start + heuristic(origin), vo);
+  // Same (f asc, FIFO) order as StaticFirstPlan.
+  core::BucketQueue<StripId>& open = search.open;
+  open.Clear();
+  open.Push(start + heuristic(origin), 0, vo);
 
   std::int64_t settled_count = 0;
   int final_leg_failures = 0;
-  while (!q_empty()) {
-    const StripId u = pop_q();
+  while (!open.empty()) {
+    const StripId u = open.Pop().payload;
     Label& lu = label_of(u);
     if (lu.settled) continue;
     // Stale queue entries can outlive a label that was reopened by a
@@ -576,7 +513,7 @@ std::optional<SrpPath> SrpPlanner::InterStripSearch(
     search.peak_search_bytes = std::max(
         search.peak_search_bytes,
         static_cast<std::size_t>(settled_count) * (sizeof(Label) + 96) +
-            q_live() * sizeof(QEntry));
+            open.size() * kOpenEntryBytes);
     const Strip& strip_u = graph_.strip(u);
 
     if (u == vd) {
@@ -584,12 +521,8 @@ std::optional<SrpPath> SrpPlanner::InterStripSearch(
       if (timed) intra_watch_.Start();
       auto final_plan = PlanWithinStrip(
           *StoreOf(vd), lu.arrival, lu.entry_pos,
-          strip_u.PositionOf(destination), intra_options_);
+          strip_u.PositionOf(destination), options_.intra);
       if (timed) intra_watch_.Stop();
-      if (final_plan.has_value()) {
-        search.intervals_built += final_plan->intervals_built;
-        search.interval_expansions += final_plan->interval_expansions;
-      }
       if (!final_plan.has_value()) {
         // The entry we reached the destination strip through cannot reach
         // the destination grid (e.g. head-on traffic inside the strip).
@@ -700,11 +633,9 @@ std::optional<SrpPath> SrpPlanner::InterStripSearch(
 
       if (timed) intra_watch_.Start();
       auto intra = PlanWithinStrip(*StoreOf(u), lu.arrival, lu.entry_pos,
-                                   contact.pos_u, intra_options_);
+                                   contact.pos_u, options_.intra);
       if (timed) intra_watch_.Stop();
       if (!intra.has_value()) continue;
-      search.intervals_built += intra->intervals_built;
-      search.interval_expansions += intra->interval_expansions;
 
       if (timed) intra_watch_.Start();
       auto tau = CrossingTime(u, contact.pos_u, v, contact.pos_v,
@@ -722,7 +653,7 @@ std::optional<SrpPath> SrpPlanner::InterStripSearch(
           lv.pred_leg.push_back(geometry::Segment(
               {intra->arrival, contact.pos_u}, {*tau, contact.pos_u}));
         }
-        push_q(arrival_v + weighted(lb_v), v);
+        open.Push(arrival_v + weighted(lb_v), 0, v);
       }
     }
   }
@@ -1012,12 +943,6 @@ std::optional<SrpPlanner::Planned> SrpPlanner::PlanQuery(
     Search& search, core::PlannerStats& stats, TimeStep now, GridCoord origin,
     GridCoord destination) const {
   ++stats.queries;
-  search.intervals_built = 0;
-  search.interval_expansions = 0;
-  const auto fold_interval_work = [&] {
-    stats.intervals_built += search.intervals_built;
-    stats.interval_expansions += search.interval_expansions;
-  };
   if (!matrix_.IsTraversable(origin) || !matrix_.IsTraversable(destination)) {
     ++stats.failures;
     return std::nullopt;
@@ -1054,14 +979,12 @@ std::optional<SrpPlanner::Planned> SrpPlanner::PlanQuery(
     if (timed) conversion_watch_.Start();
     Planned planned{RouteFromPath(graph_, *path)};
     if (timed) conversion_watch_.Stop();
-    fold_interval_work();
     return planned;
   }
 
   ++stats.fallbacks;
   auto route = FallbackPlan(search, stats, table, *start, origin,
                             destination);
-  fold_interval_work();
   if (!route.has_value()) {
     ++stats.failures;
     return std::nullopt;

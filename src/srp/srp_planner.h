@@ -14,8 +14,6 @@
 #include "common/types.h"
 #include "core/bucket_queue.h"
 #include "core/heuristic_table.h"
-#include "core/search_engine.h"
-#include "core/search_queue.h"
 #include "core/planner.h"
 #include "core/spacetime_astar.h"
 #include "core/warehouse.h"
@@ -41,10 +39,9 @@ struct SrpPlannerOptions {
   bool use_summary_pruning = true;
 
   /// Survivor-scan kernel of the stores' per-block lane pass (DESIGN.md
-  /// §2g): portable scalar, autovector-friendly batched scalar, or AVX2
-  /// intrinsics. kAuto resolves at store construction via CPUID and the
-  /// CARP_FORCE_KERNEL environment override; answers and scan counters
-  /// are identical across kernels.
+  /// §2g): portable scalar or AVX2 intrinsics. kAuto resolves at store
+  /// construction via CPUID and the CARP_FORCE_KERNEL environment
+  /// override; answers and scan counters are identical across kernels.
   core::CollisionKernel kernel = core::CollisionKernel::kAuto;
 
   /// Order the inter-strip search by arrival + Manhattan lower bound
@@ -102,22 +99,6 @@ struct SrpPlannerOptions {
   /// Byte budget of the per-goal distance-table cache (table mode only).
   std::size_t heuristic_budget_bytes =
       core::HeuristicTableCache::Options{}.budget_bytes;
-
-  /// Open-list implementation of the inter-strip searches and the A*
-  /// fallback. kAuto resolves at planner construction via
-  /// ResolveSearchQueue (CARP_FORCE_QUEUE override, then the bucket dial);
-  /// heap and bucket expand in the same order, so routes and expansion
-  /// counts are identical (the differential queue phase pins this).
-  core::SearchQueue queue = core::SearchQueue::kAuto;
-
-  /// Wait-cap engine of the intra-strip searches (DESIGN.md §2k). kAuto
-  /// resolves at planner construction via ResolveSearchEngine
-  /// (CARP_FORCE_ENGINE override, then the time-expanded default). kSipp
-  /// answers each stop position's wait cap from cached safe intervals
-  /// instead of a per-retry store probe; answers and probe accounting are
-  /// identical, so SRP routes are bit-identical across engines (the engine
-  /// differential phase pins cost equality).
-  core::SearchEngine engine = core::SearchEngine::kAuto;
 
   /// Ownership shards of the concurrent commit path (DESIGN.md §2h).
   /// Strips are assigned to shards round-robin; a route's commit locks
@@ -229,9 +210,6 @@ class SrpPlanner final : public core::Planner {
   const StripGraph& strip_graph() const { return graph_; }
   const SrpPlannerOptions& options() const { return options_; }
 
-  /// The wait-cap engine actually in effect (resolved, never kAuto).
-  core::SearchEngine engine() const { return engine_; }
-
   /// The fallback horizon actually in effect (>= the caller's value,
   /// floored by the warehouse perimeter).
   TimeStep effective_fallback_horizon() const {
@@ -274,7 +252,6 @@ class SrpPlanner final : public core::Planner {
     stats_view_.kernel_lanes_processed = ss.lanes_processed;
     stats_view_.kernel_lanes_survived = ss.lanes_survived;
     stats_view_.collision_kernel = ss.kernel;
-    stats_view_.search_engine = engine_;
     stats_view_.buckets_erased = ss.buckets_erased;
     const ShardLockSet::Stats sl = shard_locks_.stats();
     stats_view_.shard_commits = sl.commits;
@@ -304,14 +281,9 @@ class SrpPlanner final : public core::Planner {
                          ThreadPool* pool) const override;
 
  private:
-  // Open-list entry of the inter-strip searches. Heap mode orders by
-  // (f asc, serial asc) — the serial makes ties FIFO, exactly the order
-  // the bucket dial produces, so the two modes are interchangeable.
-  struct QEntry {
-    TimeStep f;
-    std::int64_t serial;
-    StripId strip;
-  };
+  // Bytes charged per live inter-strip open-list entry in the MC footprint:
+  // one (f, tie-break, strip) record.
+  static constexpr std::size_t kOpenEntryBytes = 24;
 
   // Per-strip label of the inter-strip searches.
   struct Label {
@@ -350,12 +322,10 @@ class SrpPlanner final : public core::Planner {
     std::vector<std::int64_t> label_epoch;
     std::int64_t epoch = 0;
 
-    // Inter-strip open lists (heap vector + bucket dial; the resolved
-    // SrpPlannerOptions::queue picks which one a search drives); cleared
+    // Inter-strip open list (ascending f, FIFO among equal f); cleared
     // (capacity kept) at each search, so steady-state queries do not
-    // reallocate them.
-    std::vector<QEntry> queue;
-    core::BucketQueue<StripId> bucket;
+    // reallocate it.
+    core::BucketQueue<StripId> open;
 
     // Adjacency scratch of the two-pass edge scan (capacity kept across
     // settles and queries).
@@ -364,11 +334,6 @@ class SrpPlanner final : public core::Planner {
     // Peak per-query search footprint (labels + fallback A* sets), the
     // runtime-space component of the paper's MC metric.
     std::size_t peak_search_bytes = 0;
-
-    // Per-query interval-engine work (zeroed by PlanQuery, folded into the
-    // caller's PlannerStats at query end); nonzero only under kSipp.
-    std::int64_t intervals_built = 0;
-    std::int64_t interval_expansions = 0;
 
     core::SpaceTimeAStar fallback_engine;
 
@@ -381,11 +346,8 @@ class SrpPlanner final : public core::Planner {
     void ResetScratch() {
       std::fill(label_epoch.begin(), label_epoch.end(), -1);
       epoch = 0;
-      queue.clear();
-      bucket.Clear();
+      open.Clear();
       peak_search_bytes = 0;
-      intervals_built = 0;
-      interval_expansions = 0;
     }
   };
 
@@ -483,13 +445,6 @@ class SrpPlanner final : public core::Planner {
 
   const core::WarehouseMatrix& matrix_;
   SrpPlannerOptions options_;
-  // options_.queue resolved at construction (never kAuto); also pushed
-  // into fallback_options_.queue so the A* fallback matches.
-  core::SearchQueue queue_ = core::SearchQueue::kBucket;
-  // options_.engine resolved at construction (never kAuto), pushed into
-  // intra_options_ so every PlanWithinStrip call sees the choice.
-  core::SearchEngine engine_ = core::SearchEngine::kAstar;
-  IntraPlanOptions intra_options_;  // options_.intra with engine resolved
   core::SpaceTimeAStarOptions fallback_options_;  // options_.fallback,
                                                   // horizon resolved
   StripGraph graph_;

@@ -4,6 +4,7 @@
 // theater.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -45,6 +46,33 @@ INSTANTIATE_TEST_SUITE_P(AllFaults, InjectedFaultTest,
                                            StoreFault::kPruneOffByOne,
                                            StoreFault::kStaleSummary,
                                            StoreFault::kCorruptSimdTail));
+
+// kCorruptSimdTail pins the AVX2 kernel, whose full-block loads see the
+// revived tail slot. Where that kernel cannot run (no AVX2 on the host, or
+// CARP_FORCE_KERNEL=scalar) the store scans scalar and never visits the
+// tail, so detection must come from the structural tail-poisoning audit.
+// Forcing the scalar kernel proves that path catches the fault on every
+// host.
+TEST(SimdTailFaultTest, CaughtByTailAuditUnderScalarKernel) {
+  const char* saved = std::getenv("CARP_FORCE_KERNEL");
+  const std::string restore = saved != nullptr ? saved : "";
+  setenv("CARP_FORCE_KERNEL", "scalar", 1);
+  auto factories = DefaultStoreFactories();
+  factories.push_back(NamedStoreFactory{"faulty", [] {
+    return std::make_unique<FaultySegmentStore>(StoreFault::kCorruptSimdTail);
+  }});
+  StoreFuzzOptions opt;
+  opt.num_seeds = 20;
+  const StoreFuzzResult r = FuzzStores(opt, factories);
+  if (restore.empty()) {
+    unsetenv("CARP_FORCE_KERNEL");
+  } else {
+    setenv("CARP_FORCE_KERNEL", restore.c_str(), 1);
+  }
+  ASSERT_FALSE(r.ok) << "SIMD-tail fault survived " << r.ops_executed
+                     << " ops under the scalar kernel";
+  EXPECT_NE(r.error.find("sentinel-poisoned"), std::string::npos) << r.error;
+}
 
 // ---- Shard-accounting fuzz (DESIGN.md §2h). kCrossShardLeak lives here,
 // not in the FaultySegmentStore matrix above: the fault corrupts the

@@ -125,7 +125,7 @@ TEST_F(SpaceTimeAStarTest, ManyRobotsDenseCorridorAllSafe) {
 
 TEST_F(SpaceTimeAStarTest, ScratchReusedAcrossQueriesWithoutReallocation) {
   SpaceTimeAStar astar(matrix_);
-  // Warm-up queries size the retained workspace (parent map + open heap).
+  // Warm-up queries size the retained workspace (parent map + open list).
   for (int k = 0; k < 3; ++k) {
     ASSERT_TRUE(astar.Plan(table_, 0, {0, 0}, {7, 7}, options_).has_value());
   }
@@ -139,38 +139,6 @@ TEST_F(SpaceTimeAStarTest, ScratchReusedAcrossQueriesWithoutReallocation) {
     const auto now = astar.scratch_footprint();
     EXPECT_EQ(now.parent_slots, warm.parent_slots);
     EXPECT_EQ(now.open_capacity, warm.open_capacity);
-  }
-}
-
-TEST_F(SpaceTimeAStarTest, HeapAndBucketQueuesAreBitIdentical) {
-  // The dial open list must reproduce the heap's (f asc, g desc, serial
-  // asc) total order exactly: identical routes *and* identical expansion
-  // counts, congested or not.
-  for (std::int32_t i = 0; i < 7; ++i) matrix_.SetRack({i, 4}, true);
-  Route other(0, {{0, 5}, {0, 4}, {0, 3}, {0, 2}, {0, 1}, {0, 0}});
-  table_.Reserve(1, other);
-
-  SpaceTimeAStarOptions heap_opts = options_;
-  heap_opts.queue = SearchQueue::kHeap;
-  SpaceTimeAStarOptions bucket_opts = options_;
-  bucket_opts.queue = SearchQueue::kBucket;
-
-  SpaceTimeAStar heap_astar(matrix_);
-  SpaceTimeAStar bucket_astar(matrix_);
-  const GridCoord queries[][2] = {
-      {{0, 0}, {0, 7}}, {{7, 0}, {0, 6}}, {{3, 3}, {3, 3}}, {{0, 0}, {7, 7}}};
-  for (const auto& q : queries) {
-    const auto rh = heap_astar.Plan(table_, 0, q[0], q[1], heap_opts);
-    const auto rb = bucket_astar.Plan(table_, 0, q[0], q[1], bucket_opts);
-    ASSERT_EQ(rh.has_value(), rb.has_value());
-    if (rh.has_value()) {
-      EXPECT_EQ(rh->cells(), rb->cells());
-      EXPECT_EQ(rh->start_time(), rb->start_time());
-    }
-    EXPECT_EQ(heap_astar.last_stats().expanded,
-              bucket_astar.last_stats().expanded);
-    EXPECT_EQ(heap_astar.last_stats().generated,
-              bucket_astar.last_stats().generated);
   }
 }
 

@@ -1,6 +1,7 @@
 #include "layout/layout_generator.h"
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -106,6 +107,10 @@ struct PresetExpectation {
   std::int32_t pickers;
   std::int32_t robots;
 };
+
+// Names the case by preset; the default byte dump would print the `name`
+// pointer, so the test's name would change from run to run.
+void PrintTo(const PresetExpectation& e, std::ostream* os) { *os << e.name; }
 
 class PaperPresetTest : public ::testing::TestWithParam<PresetExpectation> {};
 

@@ -1,14 +1,16 @@
 // The survivor-scan kernels (DESIGN.md §2g) must be interchangeable: the
-// batched and AVX2 lane kernels return bit-identical masks, the stores
-// answer identically under every kernel (including across tombstones and
-// partial padded tails), and runtime dispatch (CPUID, CARP_FORCE_KERNEL,
-// SrpPlannerOptions::kernel) lands on the kernel it promises.
+// AVX2 lane kernel returns exactly the masks a slot-by-slot restatement of
+// their semantics does, the stores answer identically under both kernels
+// (including across tombstones and partial padded tails), and runtime
+// dispatch (CPUID, CARP_FORCE_KERNEL, SrpPlannerOptions::kernel) lands on
+// the kernel it promises.
 #include "srp/collision_kernel.h"
 
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -121,6 +123,7 @@ class KernelMaskTest : public ::testing::Test {
 };
 
 TEST_F(KernelMaskTest, SurvivorMasksMatchReferenceAndEachOther) {
+  if (!core::CpuSupportsAvx2()) GTEST_SKIP() << "host lacks AVX2";
   const std::int64_t klo[3] = {-50, -50, -50};
   const std::int64_t khi[3] = {50, 50, 50};
   for (const auto& window : std::vector<std::pair<int, int>>{
@@ -129,58 +132,71 @@ TEST_F(KernelMaskTest, SurvivorMasksMatchReferenceAndEachOther) {
     ASSERT_TRUE(is::BuildSegmentProbe(window.first, 0, window.second, 20,
                                       klo, khi, &probe));
     const is::SurvivorMasks want = ReferenceSurvivors(block_, probe);
-    const is::SurvivorMasks batched = is::SegmentSurvivorsBatched(
+    const is::SurvivorMasks avx2 = is::SegmentSurvivorsAvx2(
         block_.t0, block_.p0, block_.t1, block_.p1, block_.dead, probe);
-    EXPECT_EQ(batched.time, want.time) << "window " << window.first;
-    EXPECT_EQ(batched.survivors, want.survivors) << "window " << window.first;
+    EXPECT_EQ(avx2.time, want.time) << "window " << window.first;
+    EXPECT_EQ(avx2.survivors, want.survivors) << "window " << window.first;
     // Survivors pass strictly more prefilters than the time set.
-    EXPECT_EQ(batched.survivors & ~batched.time, 0u);
-    if (core::CpuSupportsAvx2()) {
-      const is::SurvivorMasks avx2 = is::SegmentSurvivorsAvx2(
-          block_.t0, block_.p0, block_.t1, block_.p1, block_.dead, probe);
-      EXPECT_EQ(avx2.time, batched.time) << "window " << window.first;
-      EXPECT_EQ(avx2.survivors, batched.survivors)
-          << "window " << window.first;
-    }
+    EXPECT_EQ(avx2.survivors & ~avx2.time, 0u);
   }
 }
 
 TEST_F(KernelMaskTest, OccupancyMasksAgree) {
+  if (!core::CpuSupportsAvx2()) GTEST_SKIP() << "host lacks AVX2";
   for (std::int32_t t = 0; t <= 14; ++t) {
     for (std::int32_t pos : {0, 5, 7, 10, 15, 20}) {
-      const is::OccupancyMasks batched = is::SegmentOccupancyBatched(
-          block_.t0, block_.p0, block_.t1, block_.p1, block_.dead, t, pos);
-      EXPECT_EQ(batched.hits & ~batched.covering, 0u);
-      if (!core::CpuSupportsAvx2()) continue;
+      is::OccupancyMasks want;
+      for (std::size_t i = 0; i < kSlots; ++i) {
+        if (block_.dead[i] != 0) continue;
+        if (block_.t0[i] > t || block_.t1[i] < t) continue;
+        want.covering |= std::uint64_t{1} << i;
+        const int s = (block_.p1[i] > block_.p0[i]) -
+                      (block_.p1[i] < block_.p0[i]);
+        const std::int64_t at =
+            std::int64_t{block_.p0[i]} + s * (std::int64_t{t} - block_.t0[i]);
+        if (at == pos) want.hits |= std::uint64_t{1} << i;
+      }
       const is::OccupancyMasks avx2 = is::SegmentOccupancyAvx2(
           block_.t0, block_.p0, block_.t1, block_.p1, block_.dead, t, pos);
-      EXPECT_EQ(avx2.covering, batched.covering) << "t=" << t << " p=" << pos;
-      EXPECT_EQ(avx2.hits, batched.hits) << "t=" << t << " p=" << pos;
+      EXPECT_EQ(avx2.covering, want.covering) << "t=" << t << " p=" << pos;
+      EXPECT_EQ(avx2.hits, want.hits) << "t=" << t << " p=" << pos;
     }
   }
 }
 
 TEST_F(KernelMaskTest, LineMasksAgree) {
+  if (!core::CpuSupportsAvx2()) GTEST_SKIP() << "host lacks AVX2";
   for (const std::int64_t probe_key : {std::int64_t{42}, std::int64_t{77},
                                        std::int64_t{1}, kI64Max}) {
-    const is::LineForwardMasks fb = is::LineForwardBatched(
-        block_.key, block_.t0, block_.t1, block_.dead, probe_key, 5, 10);
-    const is::LineCoverMasks cb = is::LineCoverBatched(
-        block_.key, block_.t0, block_.t1, block_.dead, probe_key, 8, 2);
-    // The key sentinel must read as a forward stop at the logical end.
-    if (probe_key != kI64Max) {
-      EXPECT_NE(fb.stops & (std::uint64_t{1} << 60), 0u);
+    is::LineForwardMasks fwant;
+    is::LineCoverMasks cwant;
+    for (std::size_t i = 0; i < kSlots; ++i) {
+      const std::uint64_t bit = std::uint64_t{1} << i;
+      const bool live = block_.dead[i] == 0;
+      const bool on_line = block_.key[i] == probe_key;
+      if (live && on_line && block_.t0[i] <= 10 && block_.t1[i] >= 5) {
+        fwant.hits |= bit;
+      }
+      if (block_.key[i] > probe_key || block_.t0[i] > 10) fwant.stops |= bit;
+      if (live && on_line && block_.t0[i] <= 8 && block_.t1[i] >= 8) {
+        cwant.hits |= bit;
+      }
+      if (block_.key[i] < probe_key) cwant.key_below |= bit;
+      if (block_.t0[i] < 2) cwant.below_reach |= bit;
     }
-    if (!core::CpuSupportsAvx2()) continue;
     const is::LineForwardMasks fa = is::LineForwardAvx2(
         block_.key, block_.t0, block_.t1, block_.dead, probe_key, 5, 10);
-    EXPECT_EQ(fa.hits, fb.hits) << "key " << probe_key;
-    EXPECT_EQ(fa.stops, fb.stops) << "key " << probe_key;
+    EXPECT_EQ(fa.hits, fwant.hits) << "key " << probe_key;
+    EXPECT_EQ(fa.stops, fwant.stops) << "key " << probe_key;
+    // The key sentinel must read as a forward stop at the logical end.
+    if (probe_key != kI64Max) {
+      EXPECT_NE(fa.stops & (std::uint64_t{1} << 60), 0u);
+    }
     const is::LineCoverMasks ca = is::LineCoverAvx2(
         block_.key, block_.t0, block_.t1, block_.dead, probe_key, 8, 2);
-    EXPECT_EQ(ca.hits, cb.hits) << "key " << probe_key;
-    EXPECT_EQ(ca.key_below, cb.key_below) << "key " << probe_key;
-    EXPECT_EQ(ca.below_reach, cb.below_reach) << "key " << probe_key;
+    EXPECT_EQ(ca.hits, cwant.hits) << "key " << probe_key;
+    EXPECT_EQ(ca.key_below, cwant.key_below) << "key " << probe_key;
+    EXPECT_EQ(ca.below_reach, cwant.below_reach) << "key " << probe_key;
   }
 }
 
@@ -314,10 +330,8 @@ TEST_P(KernelSweepTest, ExaminedCountersMatchScalarKernel) {
 INSTANTIATE_TEST_SUITE_P(
     AllKernels, KernelSweepTest,
     ::testing::Values(SweepCase{false, CollisionKernel::kScalar},
-                      SweepCase{false, CollisionKernel::kBatched},
                       SweepCase{false, CollisionKernel::kAvx2},
                       SweepCase{true, CollisionKernel::kScalar},
-                      SweepCase{true, CollisionKernel::kBatched},
                       SweepCase{true, CollisionKernel::kAvx2}),
     SweepName);
 
@@ -334,8 +348,8 @@ class KernelDispatchTest : public ::testing::Test {
 
 TEST_F(KernelDispatchTest, ResolveNeverReturnsAuto) {
   for (const CollisionKernel k :
-       {CollisionKernel::kScalar, CollisionKernel::kBatched,
-        CollisionKernel::kAvx2, CollisionKernel::kAuto}) {
+       {CollisionKernel::kScalar, CollisionKernel::kAvx2,
+        CollisionKernel::kAuto}) {
     EXPECT_NE(core::ResolveCollisionKernel(k), CollisionKernel::kAuto);
   }
 }
@@ -362,12 +376,12 @@ TEST_F(KernelDispatchTest, ExplicitAvx2DegradesWithoutCpuSupport) {
 }
 
 TEST_F(KernelDispatchTest, ForceKernelOverridesRequestAtConstruction) {
-  setenv("CARP_FORCE_KERNEL", "batched", 1);
-  NaiveSegmentStore store(/*summary_pruning=*/true, CollisionKernel::kScalar);
-  EXPECT_EQ(store.kernel(), CollisionKernel::kBatched);
+  setenv("CARP_FORCE_KERNEL", "scalar", 1);
+  NaiveSegmentStore store(/*summary_pruning=*/true, CollisionKernel::kAvx2);
+  EXPECT_EQ(store.kernel(), CollisionKernel::kScalar);
   IndexedSegmentStore indexed(/*summary_pruning=*/true,
-                              CollisionKernel::kAvx2);
-  EXPECT_EQ(indexed.kernel(), CollisionKernel::kBatched);
+                              CollisionKernel::kAuto);
+  EXPECT_EQ(indexed.kernel(), CollisionKernel::kScalar);
   // An invalid spelling is ignored, not fatal.
   setenv("CARP_FORCE_KERNEL", "simd512", 1);
   NaiveSegmentStore fallback(/*summary_pruning=*/true,
@@ -375,15 +389,33 @@ TEST_F(KernelDispatchTest, ForceKernelOverridesRequestAtConstruction) {
   EXPECT_EQ(fallback.kernel(), CollisionKernel::kScalar);
 }
 
+TEST_F(KernelDispatchTest, RetiredKernelSpellingIsWarnedAndIgnored) {
+  // "batched" named a kernel that no longer exists; a stale CI variable or
+  // shell profile must degrade to the CPUID default, never crash or pin.
+  const CollisionKernel cpuid = core::CpuSupportsAvx2()
+                                    ? CollisionKernel::kAvx2
+                                    : CollisionKernel::kScalar;
+  setenv("CARP_FORCE_KERNEL", "batched", 1);
+  ::testing::internal::CaptureStderr();
+  const CollisionKernel resolved =
+      core::ResolveCollisionKernel(CollisionKernel::kAuto);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(resolved, cpuid);
+  EXPECT_NE(log.find("CARP_FORCE_KERNEL=batched"), std::string::npos) << log;
+  EXPECT_NE(log.find("ignoring"), std::string::npos) << log;
+  IndexedSegmentStore store;  // default kAuto
+  EXPECT_EQ(store.kernel(), cpuid);
+}
+
 TEST_F(KernelDispatchTest, PlannerOptionReachesStoresAndStats) {
   const layout::Warehouse warehouse =
       layout::GenerateWarehouse(layout::PresetTiny());
   SrpPlannerOptions options;
-  options.kernel = CollisionKernel::kBatched;
+  options.kernel = CollisionKernel::kScalar;
   SrpPlanner planner(warehouse.matrix, options);
   auto route = planner.PlanRoute(0, GridCoord{0, 0}, GridCoord{0, 20});
   ASSERT_TRUE(route.has_value());
-  EXPECT_EQ(planner.stats().collision_kernel, CollisionKernel::kBatched);
+  EXPECT_EQ(planner.stats().collision_kernel, CollisionKernel::kScalar);
 }
 
 }  // namespace

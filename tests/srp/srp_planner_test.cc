@@ -1,5 +1,7 @@
 #include "srp/srp_planner.h"
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
@@ -162,6 +164,14 @@ struct OptionParam {
   double weight;
   std::int64_t slack;
 };
+
+// The default byte dump would print the struct's padding, so the test's
+// name would change from run to run.
+void PrintTo(const OptionParam& p, std::ostream* os) {
+  *os << "{static_first=" << p.static_first
+      << ", goal=" << p.goal_heuristic << ", w=" << p.weight
+      << ", slack=" << p.slack << "}";
+}
 
 class SrpOptionSweepTest : public ::testing::TestWithParam<OptionParam> {};
 
