@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "common/table_writer.h"
-#include "core/heuristic_table.h"
 #include "core/search_engine.h"
+#include "flags.h"
 #include "sim/experiment_runner.h"
 #include "workload/scenario.h"
 
@@ -34,10 +34,6 @@ struct BenchOptions {
   /// single-day figures measure the accumulate-everything regime.
   bool retire = false;
 
-  /// Search heuristic: per-goal true-distance tables (default) or the
-  /// classic weighted Manhattan bound (--heuristic=manhattan).
-  core::HeuristicMode heuristic = core::HeuristicMode::kTable;
-
   /// Search engine of the grid-based planners (--engine=astar|sipp|auto;
   /// auto = CARP_FORCE_ENGINE, then the time-expanded default). The
   /// engines guarantee equal route costs, not identical routes
@@ -46,41 +42,25 @@ struct BenchOptions {
   core::SearchEngine engine = core::SearchEngine::kAuto;
 
   static BenchOptions Parse(int argc, char** argv, double default_scale) {
+    static constexpr const char* kUsage =
+        "options: --scale=F --days=N --threads=N --algos=A,B,... "
+        "--engine=astar|sipp|auto (grid planners) --no-validate --retire\n"
+        "environment: CARP_FORCE_KERNEL=scalar|avx2 pins the SRP "
+        "survivor-scan kernel (default: cpuid), CARP_FORCE_ENGINE=astar|sipp "
+        "the grid search engine\n";
     BenchOptions o;
     o.scale = default_scale;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      auto value = [&](const std::string& prefix) -> const char* {
-        if (arg.rfind(prefix, 0) == 0) return arg.c_str() + prefix.size();
-        return nullptr;
-      };
-      if (const char* v = value("--scale=")) {
+      if (const char* v = FlagValue(arg, "--scale=")) {
         o.scale = std::atof(v);
-      } else if (const char* v = value("--days=")) {
+      } else if (const char* v = FlagValue(arg, "--days=")) {
         o.days = std::atoi(v);
-      } else if (const char* v = value("--threads=")) {
+      } else if (const char* v = FlagValue(arg, "--threads=")) {
         o.threads = std::atoi(v);
-      } else if (const char* v = value("--algos=")) {
-        o.algorithms.clear();
-        std::string cur;
-        for (const char* p = v;; ++p) {
-          if (*p == ',' || *p == '\0') {
-            if (!cur.empty()) o.algorithms.push_back(cur);
-            cur.clear();
-            if (*p == '\0') break;
-          } else {
-            cur += *p;
-          }
-        }
-      } else if (const char* v = value("--heuristic=")) {
-        const auto mode = core::ParseHeuristicMode(v);
-        if (!mode.has_value()) {
-          std::cerr << "unknown --heuristic value: " << v
-                    << " (expected manhattan|table)\n";
-          std::exit(2);
-        }
-        o.heuristic = *mode;
-      } else if (const char* v = value("--engine=")) {
+      } else if (const char* v = FlagValue(arg, "--algos=")) {
+        o.algorithms = SplitList(v);
+      } else if (const char* v = FlagValue(arg, "--engine=")) {
         core::SearchEngine e;
         if (!core::ParseSearchEngine(v, &e)) {
           std::cerr << "unknown --engine value: " << v
@@ -93,14 +73,10 @@ struct BenchOptions {
       } else if (arg == "--retire") {
         o.retire = true;
       } else if (arg == "--help" || arg == "-h") {
-        std::cout << "options: --scale=F --days=N --threads=N "
-                     "--algos=A,B,... --heuristic=manhattan|table "
-                     "--engine=astar|sipp|auto (grid planners) "
-                     "--no-validate --retire\n"
-                     "environment: CARP_FORCE_KERNEL=scalar|avx2 pins the "
-                     "SRP survivor-scan kernel (default: cpuid), "
-                     "CARP_FORCE_ENGINE=astar|sipp the grid search engine\n";
+        std::cout << kUsage;
         std::exit(0);
+      } else {
+        RejectFlag(arg, kUsage);
       }
     }
     return o;
@@ -118,7 +94,6 @@ inline sim::ExperimentConfig MakeConfig(const std::string& scenario,
   config.simulator.validate = options.validate;
   config.simulator.threads = options.threads;
   config.simulator.retire_routes = options.retire;
-  config.simulator.heuristic = options.heuristic;
   config.simulator.engine = options.engine;
   return config;
 }
@@ -188,7 +163,7 @@ inline void PrintRunSummary(const std::vector<sim::RunMetrics>& runs,
   TableWriter table({"day", "algorithm", "tasks", "TC(s)", "peak MC(MiB)",
                      "end MC(MiB)", "makespan(OG)", "failed", "fallbacks",
                      "speculated", "conflict-rate", "shard-cont%", "released",
-                     "live", "h-hit%", "blk-skip%", "kernel", "lane-surv%",
+                     "live", "blk-skip%", "kernel", "lane-surv%",
                      "engine", "intervals", "collision-free"});
   for (const auto& r : runs) {
     // The kernel column only means something for planners that batch
@@ -211,7 +186,6 @@ inline void PrintRunSummary(const std::vector<sim::RunMetrics>& runs,
                   FormatDouble(r.planner_stats.ShardContentionRate() * 100, 1),
                   std::to_string(r.routes_released),
                   std::to_string(r.end_live_routes),
-                  FormatDouble(r.planner_stats.HeuristicHitRate() * 100, 1),
                   FormatDouble(r.planner_stats.BlockSkipRate() * 100, 1),
                   lanes ? core::ToString(r.planner_stats.collision_kernel)
                         : "-",
@@ -275,21 +249,6 @@ inline void WriteRunsJson(const std::string& path, const std::string& bench,
         << ", \"peak_live_routes\": " << r.peak_live_routes
         << ", \"released\": " << r.routes_released
         << ", \"pruned\": " << r.planner_stats.routes_pruned
-        << ", \"heuristic_hits\": " << r.planner_stats.heuristic_hits
-        << ", \"heuristic_misses\": " << r.planner_stats.heuristic_misses
-        << ", \"heuristic_evictions\": " << r.planner_stats.heuristic_evictions
-        << ", \"heuristic_bytes\": " << r.planner_stats.heuristic_bytes
-        << ", \"heuristic_rebuilds\": " << r.planner_stats.heuristic_rebuilds
-        << ", \"heuristic_prefetch_scheduled\": "
-        << r.planner_stats.heuristic_prefetch_scheduled
-        << ", \"heuristic_prefetch_hits\": "
-        << r.planner_stats.heuristic_prefetch_hits
-        << ", \"heuristic_prefetch_late\": "
-        << r.planner_stats.heuristic_prefetch_late
-        << ", \"heuristic_build_seconds\": "
-        << r.planner_stats.heuristic_build_seconds
-        << ", \"heuristic_prefetch_build_seconds\": "
-        << r.planner_stats.heuristic_prefetch_build_seconds
         << ", \"candidates_examined\": " << r.planner_stats.candidates_examined
         << ", \"blocks_scanned\": " << r.planner_stats.blocks_scanned
         << ", \"blocks_skipped\": " << r.planner_stats.blocks_skipped

@@ -31,6 +31,7 @@
 #include "common/timer.h"
 #include "core/batch_planner.h"
 #include "core/collision.h"
+#include "flags.h"
 #include "layout/layout_generator.h"
 #include "layout/presets.h"
 #include "srp/srp_planner.h"
@@ -124,18 +125,20 @@ Row RunOne(const layout::Warehouse& warehouse, const std::string& name,
 int main(int argc, char** argv) {
   using namespace carp;
 
+  constexpr const char* kUsage = "options: --queries=N --out=FILE\n";
   std::size_t query_count = 240;
   std::string out_path = "BENCH_batch_parallel.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--queries=", 0) == 0) {
-      query_count = static_cast<std::size_t>(
-          std::atoll(arg.c_str() + sizeof("--queries=") - 1));
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(sizeof("--out=") - 1);
+    if (const char* v = bench::FlagValue(arg, "--queries=")) {
+      query_count = static_cast<std::size_t>(std::atoll(v));
+    } else if (const char* v = bench::FlagValue(arg, "--out=")) {
+      out_path = v;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "options: --queries=N --out=FILE\n";
+      std::cout << kUsage;
       return 0;
+    } else {
+      bench::RejectFlag(arg, kUsage);
     }
   }
 

@@ -37,6 +37,7 @@
 #include "common/table_writer.h"
 #include "core/collision.h"
 #include "core/search_engine.h"
+#include "flags.h"
 #include "layout/layout_generator.h"
 #include "workload/scenario.h"
 
@@ -151,40 +152,28 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 7;
   std::string out_path = "BENCH_engine.json";
   bool strict = false;
-  auto parse_list = [](const std::string& arg, std::size_t prefix,
-                       std::vector<std::string>& out) {
-    out.clear();
-    std::string cur;
-    for (const char* p = arg.c_str() + prefix;; ++p) {
-      if (*p == ',' || *p == '\0') {
-        if (!cur.empty()) out.push_back(cur);
-        cur.clear();
-        if (*p == '\0') break;
-      } else {
-        cur += *p;
-      }
-    }
-  };
+  constexpr const char* kUsage =
+      "options: --scenarios=W-1,W-2,W-3 --backends=SAP,RP,TWP,ACP "
+      "--queries=N --seed=S --out=FILE --strict\n";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--scenarios=", 0) == 0) {
-      parse_list(arg, sizeof("--scenarios=") - 1, scenarios);
-    } else if (arg.rfind("--backends=", 0) == 0) {
-      parse_list(arg, sizeof("--backends=") - 1, backends);
-    } else if (arg.rfind("--queries=", 0) == 0) {
-      query_count = std::atoi(arg.c_str() + sizeof("--queries=") - 1);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = static_cast<std::uint64_t>(
-          std::atoll(arg.c_str() + sizeof("--seed=") - 1));
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(sizeof("--out=") - 1);
+    if (const char* v = bench::FlagValue(arg, "--scenarios=")) {
+      scenarios = bench::SplitList(v);
+    } else if (const char* v = bench::FlagValue(arg, "--backends=")) {
+      backends = bench::SplitList(v);
+    } else if (const char* v = bench::FlagValue(arg, "--queries=")) {
+      query_count = std::atoi(v);
+    } else if (const char* v = bench::FlagValue(arg, "--seed=")) {
+      seed = static_cast<std::uint64_t>(std::atoll(v));
+    } else if (const char* v = bench::FlagValue(arg, "--out=")) {
+      out_path = v;
     } else if (arg == "--strict") {
       strict = true;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "options: --scenarios=W-1,W-2,W-3 "
-                   "--backends=SAP,RP,TWP,ACP --queries=N "
-                   "--seed=S --out=FILE --strict\n";
+      std::cout << kUsage;
       return 0;
+    } else {
+      bench::RejectFlag(arg, kUsage);
     }
   }
 

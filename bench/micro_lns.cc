@@ -41,6 +41,7 @@
 #include "common/timer.h"
 #include "core/collision.h"
 #include "core/spatial_paths.h"
+#include "flags.h"
 #include "layout/layout_generator.h"
 #include "layout/presets.h"
 #include "lns/lns_refiner.h"
@@ -158,53 +159,44 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_lns.json";
   std::vector<std::string> warehouses = {"W-1", "W-2", "W-3"};
 
+  constexpr const char* kUsage =
+      "options: --budget=SECONDS --min-iters=N --max-iters=N --requests=N "
+      "--day=T --neighborhood=K --warehouses=A,B,... --serial --pooled "
+      "--policy=random|hotspot|locality --strict --out=FILE\n";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--budget=", 0) == 0) {
-      budget_s = std::atof(arg.c_str() + sizeof("--budget=") - 1);
-    } else if (arg.rfind("--min-iters=", 0) == 0) {
-      min_iters = std::atoll(arg.c_str() + sizeof("--min-iters=") - 1);
-    } else if (arg.rfind("--max-iters=", 0) == 0) {
-      max_iters = std::atoll(arg.c_str() + sizeof("--max-iters=") - 1);
-    } else if (arg.rfind("--requests=", 0) == 0) {
-      request_count = static_cast<std::size_t>(
-          std::atoll(arg.c_str() + sizeof("--requests=") - 1));
-    } else if (arg.rfind("--day=", 0) == 0) {
-      day_length = std::atoll(arg.c_str() + sizeof("--day=") - 1);
-    } else if (arg.rfind("--neighborhood=", 0) == 0) {
-      neighborhood = static_cast<std::size_t>(
-          std::atoll(arg.c_str() + sizeof("--neighborhood=") - 1));
-    } else if (arg.rfind("--warehouses=", 0) == 0) {
-      warehouses.clear();
-      std::string cur;
-      for (const char* p = arg.c_str() + sizeof("--warehouses=") - 1;; ++p) {
-        if (*p == ',' || *p == '\0') {
-          if (!cur.empty()) warehouses.push_back(cur);
-          cur.clear();
-          if (*p == '\0') break;
-        } else {
-          cur += *p;
-        }
-      }
+    if (const char* v = bench::FlagValue(arg, "--budget=")) {
+      budget_s = std::atof(v);
+    } else if (const char* v = bench::FlagValue(arg, "--min-iters=")) {
+      min_iters = std::atoll(v);
+    } else if (const char* v = bench::FlagValue(arg, "--max-iters=")) {
+      max_iters = std::atoll(v);
+    } else if (const char* v = bench::FlagValue(arg, "--requests=")) {
+      request_count = static_cast<std::size_t>(std::atoll(v));
+    } else if (const char* v = bench::FlagValue(arg, "--day=")) {
+      day_length = std::atoll(v);
+    } else if (const char* v = bench::FlagValue(arg, "--neighborhood=")) {
+      neighborhood = static_cast<std::size_t>(std::atoll(v));
+    } else if (const char* v = bench::FlagValue(arg, "--warehouses=")) {
+      warehouses = bench::SplitList(v);
     } else if (arg == "--serial") {
       serial = true;
     } else if (arg == "--pooled") {
       serial = false;
-    } else if (arg.rfind("--policy=", 0) == 0) {
-      const std::string p = arg.substr(sizeof("--policy=") - 1);
+    } else if (const char* v = bench::FlagValue(arg, "--policy=")) {
+      const std::string p = v;
       if (p == "random") policy = lns::NeighborhoodPolicy::kRandom;
       if (p == "hotspot") policy = lns::NeighborhoodPolicy::kConflictHotspot;
       if (p == "locality") policy = lns::NeighborhoodPolicy::kStripLocality;
     } else if (arg == "--strict") {
       strict = true;
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(sizeof("--out=") - 1);
+    } else if (const char* v = bench::FlagValue(arg, "--out=")) {
+      out_path = v;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "options: --budget=SECONDS --min-iters=N --max-iters=N "
-                   "--requests=N --day=T --neighborhood=K "
-                   "--warehouses=A,B,... --serial --pooled "
-                   "--policy=random|hotspot|locality --strict --out=FILE\n";
+      std::cout << kUsage;
       return 0;
+    } else {
+      bench::RejectFlag(arg, kUsage);
     }
   }
 

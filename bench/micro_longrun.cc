@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/table_writer.h"
+#include "flags.h"
 #include "layout/layout_generator.h"
 #include "sim/simulator.h"
 #include "srp/srp_planner.h"
@@ -57,24 +58,28 @@ int main(int argc, char** argv) {
   bool release = true;
   bool validate = true;
   std::string out_path = "BENCH_longrun.json";
+  constexpr const char* kUsage =
+      "options: --scale=F --days=N --threads=N --no-release --no-validate "
+      "--out=FILE\n";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--scale=", 0) == 0) {
-      scale = std::atof(arg.c_str() + sizeof("--scale=") - 1);
-    } else if (arg.rfind("--days=", 0) == 0) {
-      days = std::atoi(arg.c_str() + sizeof("--days=") - 1);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = std::atoi(arg.c_str() + sizeof("--threads=") - 1);
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(sizeof("--out=") - 1);
+    if (const char* v = bench::FlagValue(arg, "--scale=")) {
+      scale = std::atof(v);
+    } else if (const char* v = bench::FlagValue(arg, "--days=")) {
+      days = std::atoi(v);
+    } else if (const char* v = bench::FlagValue(arg, "--threads=")) {
+      threads = std::atoi(v);
+    } else if (const char* v = bench::FlagValue(arg, "--out=")) {
+      out_path = v;
     } else if (arg == "--no-release") {
       release = false;
     } else if (arg == "--no-validate") {
       validate = false;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "options: --scale=F --days=N --threads=N --no-release "
-                   "--no-validate --out=FILE\n";
+      std::cout << kUsage;
       return 0;
+    } else {
+      bench::RejectFlag(arg, kUsage);
     }
   }
 

@@ -36,6 +36,7 @@
 #include "common/rng.h"
 #include "common/table_writer.h"
 #include "core/kernel_dispatch.h"
+#include "flags.h"
 #include "srp/segment_index.h"
 #include "srp/segment_store.h"
 #include "workload/scenario.h"
@@ -150,42 +151,35 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_segment_kernel.json";
   std::string kernel_arg;
   bool strict = false;
+  constexpr const char* kUsage =
+      "options: --scenarios=W-1,W-2,W-3 --queries=N --seed=S --scale=F "
+      "--reps=R --kernel=scalar|avx2|auto --min-reduction=R --out=FILE "
+      "--strict\n";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--scenarios=", 0) == 0) {
-      scenarios.clear();
-      std::string cur;
-      for (const char* p = arg.c_str() + sizeof("--scenarios=") - 1;; ++p) {
-        if (*p == ',' || *p == '\0') {
-          if (!cur.empty()) scenarios.push_back(cur);
-          cur.clear();
-          if (*p == '\0') break;
-        } else {
-          cur += *p;
-        }
-      }
-    } else if (arg.rfind("--queries=", 0) == 0) {
-      query_count = std::atoi(arg.c_str() + sizeof("--queries=") - 1);
-    } else if (arg.rfind("--reps=", 0) == 0) {
-      reps = std::max(1, std::atoi(arg.c_str() + sizeof("--reps=") - 1));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = static_cast<std::uint64_t>(
-          std::atoll(arg.c_str() + sizeof("--seed=") - 1));
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      scale = std::atof(arg.c_str() + sizeof("--scale=") - 1);
-    } else if (arg.rfind("--min-reduction=", 0) == 0) {
-      min_reduction = std::atof(arg.c_str() + sizeof("--min-reduction=") - 1);
-    } else if (arg.rfind("--kernel=", 0) == 0) {
-      kernel_arg = arg.substr(sizeof("--kernel=") - 1);
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(sizeof("--out=") - 1);
+    if (const char* v = bench::FlagValue(arg, "--scenarios=")) {
+      scenarios = bench::SplitList(v);
+    } else if (const char* v = bench::FlagValue(arg, "--queries=")) {
+      query_count = std::atoi(v);
+    } else if (const char* v = bench::FlagValue(arg, "--reps=")) {
+      reps = std::max(1, std::atoi(v));
+    } else if (const char* v = bench::FlagValue(arg, "--seed=")) {
+      seed = static_cast<std::uint64_t>(std::atoll(v));
+    } else if (const char* v = bench::FlagValue(arg, "--scale=")) {
+      scale = std::atof(v);
+    } else if (const char* v = bench::FlagValue(arg, "--min-reduction=")) {
+      min_reduction = std::atof(v);
+    } else if (const char* v = bench::FlagValue(arg, "--kernel=")) {
+      kernel_arg = v;
+    } else if (const char* v = bench::FlagValue(arg, "--out=")) {
+      out_path = v;
     } else if (arg == "--strict") {
       strict = true;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "options: --scenarios=W-1,W-2,W-3 --queries=N --seed=S "
-                   "--scale=F --reps=R --kernel=scalar|avx2|auto "
-                   "--min-reduction=R --out=FILE --strict\n";
+      std::cout << kUsage;
       return 0;
+    } else {
+      bench::RejectFlag(arg, kUsage);
     }
   }
 

@@ -38,6 +38,7 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/collision.h"
+#include "flags.h"
 #include "layout/layout_generator.h"
 #include "layout/presets.h"
 #include "service/planner_service.h"
@@ -187,35 +188,28 @@ int main(int argc, char** argv) {
   bool strict = false;
   std::string out_path = "BENCH_service.json";
   std::vector<std::string> algorithms = {"SAP", "RP", "TWP", "ACP", "SRP"};
+  constexpr const char* kUsage =
+      "options: --requests=N --day=T --threads=N --algos=A,B,... --strict "
+      "--out=FILE\n";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--requests=", 0) == 0) {
-      request_count = static_cast<std::size_t>(
-          std::atoll(arg.c_str() + sizeof("--requests=") - 1));
-    } else if (arg.rfind("--day=", 0) == 0) {
-      day_length = std::atoll(arg.c_str() + sizeof("--day=") - 1);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = std::atoi(arg.c_str() + sizeof("--threads=") - 1);
-    } else if (arg.rfind("--algos=", 0) == 0) {
-      algorithms.clear();
-      std::string cur;
-      for (const char* p = arg.c_str() + sizeof("--algos=") - 1;; ++p) {
-        if (*p == ',' || *p == '\0') {
-          if (!cur.empty()) algorithms.push_back(cur);
-          cur.clear();
-          if (*p == '\0') break;
-        } else {
-          cur += *p;
-        }
-      }
+    if (const char* v = bench::FlagValue(arg, "--requests=")) {
+      request_count = static_cast<std::size_t>(std::atoll(v));
+    } else if (const char* v = bench::FlagValue(arg, "--day=")) {
+      day_length = std::atoll(v);
+    } else if (const char* v = bench::FlagValue(arg, "--threads=")) {
+      threads = std::atoi(v);
+    } else if (const char* v = bench::FlagValue(arg, "--algos=")) {
+      algorithms = bench::SplitList(v);
     } else if (arg == "--strict") {
       strict = true;
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(sizeof("--out=") - 1);
+    } else if (const char* v = bench::FlagValue(arg, "--out=")) {
+      out_path = v;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "options: --requests=N --day=T --threads=N "
-                   "--algos=A,B,... --strict --out=FILE\n";
+      std::cout << kUsage;
       return 0;
+    } else {
+      bench::RejectFlag(arg, kUsage);
     }
   }
 

@@ -101,10 +101,8 @@ std::optional<core::Route> AcpPlanner::PlanRoute(TimeStep now,
   }
 
   // Escalate: full space-time A*.
-  std::shared_ptr<const core::HeuristicTable> keepalive;
-  const auto search = MakeSearchOptions(destination, keepalive);
-  auto route =
-      engine_.Plan(reservations_, *start, origin, destination, search);
+  auto route = engine_.Plan(reservations_, *start, origin, destination,
+                            MakeSearchOptions());
   TallyEngineSearch(stats_);
   NoteSearchFootprint();
   if (!route.has_value()) {

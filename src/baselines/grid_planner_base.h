@@ -8,7 +8,6 @@
 
 #include "common/logging.h"
 #include "common/sharded_lock.h"
-#include "core/heuristic_table.h"
 #include "core/planner.h"
 #include "core/reservation_table.h"
 #include "core/sipp_astar.h"
@@ -27,13 +26,6 @@ struct GridPlannerOptions {
 
   /// Maximum dispatch delay when the origin cell is occupied at query time.
   TimeStep max_dispatch_delay = 256;
-
-  /// Lower bound guiding the shared space-time A* engine.
-  core::HeuristicMode heuristic = core::HeuristicMode::kTable;
-
-  /// Byte budget of the per-goal distance-table cache (table mode only).
-  std::size_t heuristic_budget_bytes =
-      core::HeuristicTableCache::Options{}.budget_bytes;
 
   /// Search engine (DESIGN.md §2k); kAuto resolves once at construction
   /// (CARP_FORCE_ENGINE, then the time-expanded default). The engines
@@ -77,12 +69,6 @@ class GridPlannerBase : public core::Planner {
       options_.horizon = 4 * (matrix.height() + matrix.width());
     }
     options_.engine = core::ResolveSearchEngine(options_.engine);
-    if (options_.heuristic == core::HeuristicMode::kTable) {
-      core::HeuristicTableCache::Options cache_options;
-      cache_options.budget_bytes = options_.heuristic_budget_bytes;
-      hcache_ = std::make_unique<core::HeuristicTableCache>(matrix_,
-                                                            cache_options);
-    }
   }
 
   bool SupportsSpeculation() const override { return true; }
@@ -102,10 +88,8 @@ class GridPlannerBase : public core::Planner {
       ++ctx.stats.failures;
       return std::nullopt;
     }
-    std::shared_ptr<const core::HeuristicTable> keepalive;
-    const auto search = MakeSearchOptions(destination, keepalive);
-    auto route =
-        ctx.engine.Plan(reservations_, *start, origin, destination, search);
+    auto route = ctx.engine.Plan(reservations_, *start, origin, destination,
+                                 MakeSearchOptions());
     const auto& s = ctx.engine.last_stats();
     ctx.stats.expanded_nodes += s.expanded;
     ctx.stats.intervals_built += s.intervals_built;
@@ -120,16 +104,6 @@ class GridPlannerBase : public core::Planner {
   }
 
   void CommitRoute(const core::Route& route) override { Commit(route); }
-
-  /// Warms the destination's distance table on the pool; a later QueryRoute
-  /// finds it built (or builds it itself — either way the same table, so
-  /// routes are bit-identical with prefetch on or off).
-  void PrefetchHeuristic(GridCoord destination,
-                         ThreadPool* pool) const override {
-    if (hcache_ == nullptr || pool == nullptr) return;
-    if (!matrix_.InBounds(destination)) return;
-    hcache_->Prefetch(destination, *pool);
-  }
 
   /// Sharded-commit contract (DESIGN.md §2h), coarse-grained: the
   /// reservation table has no strip partition, so the whole planner is a
@@ -225,25 +199,11 @@ class GridPlannerBase : public core::Planner {
 
   const core::ReservationTable& reservations() const { return reservations_; }
 
-  /// Committed-state counters plus a live overlay of the shared
-  /// heuristic-cache counters (the cache is planner-lifetime state that
-  /// serial paths and speculative workers hit alike, so its totals live
-  /// there rather than in per-context stats).
+  /// Committed-state counters plus a live overlay of the commit lock's
+  /// contention counters, the resolved engine and the reservation table's
+  /// erased-bucket count.
   const core::PlannerStats& stats() const override {
     stats_view_ = stats_;
-    if (hcache_ != nullptr) {
-      const auto h = hcache_->stats();
-      stats_view_.heuristic_hits = h.hits;
-      stats_view_.heuristic_misses = h.misses;
-      stats_view_.heuristic_evictions = h.evictions;
-      stats_view_.heuristic_bytes = h.bytes;
-      stats_view_.heuristic_rebuilds = h.rebuilds;
-      stats_view_.heuristic_prefetch_scheduled = h.prefetch_scheduled;
-      stats_view_.heuristic_prefetch_hits = h.prefetch_hits;
-      stats_view_.heuristic_prefetch_late = h.prefetch_late;
-      stats_view_.heuristic_build_seconds = h.build_seconds;
-      stats_view_.heuristic_prefetch_build_seconds = h.prefetch_build_seconds;
-    }
     const ShardLockSet::Stats sl = commit_lock_.stats();
     stats_view_.shard_commits = sl.commits;
     stats_view_.shard_lock_contentions = sl.contentions;
@@ -254,23 +214,13 @@ class GridPlannerBase : public core::Planner {
   }
 
  protected:
-  /// Engine options for a search toward `destination`: the shared budgets
-  /// plus, in table mode, the destination's true-distance table (built on
-  /// first use; nullptr fallback to Manhattan only when one table exceeds
-  /// the byte budget). `keepalive` pins the table snapshot for the duration
-  /// of the caller's Plan — eviction can drop the cache's reference
-  /// mid-search. Const and thread-safe (speculative workers call it).
-  core::SpaceTimeAStarOptions MakeSearchOptions(
-      GridCoord destination,
-      std::shared_ptr<const core::HeuristicTable>& keepalive) const {
+  /// Engine options carrying the shared budgets. Const and thread-safe
+  /// (speculative workers call it).
+  core::SpaceTimeAStarOptions MakeSearchOptions() const {
     core::SpaceTimeAStarOptions search;
     search.horizon = options_.horizon;
     search.max_expansions = options_.max_expansions;
     search.engine = options_.engine;  // resolved at construction, never kAuto
-    if (hcache_ != nullptr) {
-      keepalive = hcache_->Acquire(destination);
-      search.heuristic = keepalive.get();
-    }
     return search;
   }
 
@@ -356,13 +306,6 @@ class GridPlannerBase : public core::Planner {
   core::SearchEngineDriver engine_;
   std::size_t peak_search_bytes_ = 0;
 
-  // Shared per-goal distance tables (null in Manhattan mode). Deliberately
-  // survives Reset(): tables are pure functions of the matrix, so a warm
-  // cache changes no answers. Excluded from RetainedBytes() — the paper's
-  // MC metric records collision-avoidance state, and the cache is a
-  // bounded, configuration-controlled accelerator reported separately via
-  // PlannerStats::heuristic_bytes.
-  std::unique_ptr<core::HeuristicTableCache> hcache_;
   mutable core::PlannerStats stats_view_;
 
   // Stable id of each log entry (parallel to route_log_) and the inverse

@@ -6,7 +6,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/heuristic_table.h"
 #include "core/planner.h"
 #include "core/search_engine.h"
 #include "core/warehouse.h"
@@ -15,13 +14,6 @@ namespace carp::baselines {
 
 /// Cross-cutting construction knobs shared by every algorithm tag.
 struct PlannerBuildOptions {
-  /// Search heuristic of all space-time / inter-strip searches.
-  core::HeuristicMode heuristic = core::HeuristicMode::kTable;
-
-  /// Byte budget of the per-goal distance-table cache (table mode only).
-  std::size_t heuristic_budget_bytes =
-      core::HeuristicTableCache::Options{}.budget_bytes;
-
   /// Search engine of the grid-based baselines (kAuto = CARP_FORCE_ENGINE,
   /// then the time-expanded default). The engines guarantee equal route
   /// costs, not identical routes (DESIGN.md §2k). Ignored by SRP, whose

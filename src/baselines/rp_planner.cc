@@ -103,10 +103,8 @@ std::optional<core::Route> RpPlanner::PlanRoute(TimeStep now,
 
   // Prioritized fallback: plan only the new query with space-time A*
   // against all committed routes.
-  std::shared_ptr<const core::HeuristicTable> keepalive;
-  const auto search = MakeSearchOptions(destination, keepalive);
-  auto route =
-      engine_.Plan(reservations_, *start, origin, destination, search);
+  auto route = engine_.Plan(reservations_, *start, origin, destination,
+                            MakeSearchOptions());
   TallyEngineSearch(stats_);
   NoteSearchFootprint();
   if (!route.has_value()) {

@@ -12,10 +12,8 @@ std::optional<core::Route> SapPlanner::PlanRoute(TimeStep now,
     return std::nullopt;
   }
 
-  std::shared_ptr<const core::HeuristicTable> keepalive;
-  const auto search = MakeSearchOptions(destination, keepalive);
-  auto route =
-      engine_.Plan(reservations_, *start, origin, destination, search);
+  auto route = engine_.Plan(reservations_, *start, origin, destination,
+                            MakeSearchOptions());
   TallyEngineSearch(stats_);
   NoteSearchFootprint();
   if (!route.has_value()) {

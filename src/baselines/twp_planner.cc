@@ -19,10 +19,7 @@ std::optional<core::Route> TwpPlanner::PlanRoute(TimeStep now,
   TimeStep t = *start;
   const TimeStep w = twp_options_.window;
 
-  // One table acquisition covers every window round (same destination).
-  std::shared_ptr<const core::HeuristicTable> keepalive;
-  core::SpaceTimeAStarOptions search = MakeSearchOptions(destination,
-                                                         keepalive);
+  core::SpaceTimeAStarOptions search = MakeSearchOptions();
   search.window = w;
 
   for (std::int32_t round = 0; round < twp_options_.max_windows; ++round) {

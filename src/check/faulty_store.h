@@ -48,21 +48,13 @@ enum class StoreFault {
   /// sizes) can see it. This fault lives above any single store: it is
   /// exercised by FuzzShardAccounting, not by FaultySegmentStore.
   kCrossShardLeak,
-  /// One goal's distance table carries inadmissible entries (overestimates
-  /// planted around the goal with inverted preferences) — the shape of "a
-  /// stale or mis-encoded table steered A* to a suboptimal arrival"
-  /// (DESIGN.md §2j). Like kCrossShardLeak this lives above any single
-  /// store: it is exercised by RunHeuristicFaultCalibration, which proves
-  /// the table-vs-Manhattan cost-mismatch audit of the planner
-  /// differential catches the corruption within the seed budget.
-  kCorruptHeuristicEntry,
   /// Every free interval the safe-interval extractor derives has its upper
   /// bound extended one step into the occupied slot that ends it — the
   /// shape of "inclusive-vs-exclusive bound mix-up in interval extraction"
   /// (DESIGN.md §2k): the interval engine believes a cell is free at the
   /// exact timestep a reservation begins, so it books routes that are
   /// cheaper than the time-expanded oracle's *and* collide. Like
-  /// kCorruptHeuristicEntry this lives above any single store: it is
+  /// kCrossShardLeak this lives above any single store: it is
   /// injected via core::SafeIntervalMap::SetOverwideFaultForTest and
   /// exercised by RunEngineFaultCalibration, which proves the engine
   /// differential's cost-equality + collision audits catch it within the

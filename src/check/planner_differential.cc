@@ -84,11 +84,9 @@ PlannerDiffResult RunPlannerDifferential(const PlannerDiffOptions& opt) {
   // requested thread count: the run must validate collision-free, drain,
   // and keep its lifecycle accounting consistent.
   std::map<std::pair<std::string, int>, sim::RunMetrics> metrics;
-  baselines::PlannerBuildOptions build;
-  build.heuristic = opt.heuristic;
   for (const std::string& backend : Backends()) {
     for (int threads : opt.thread_counts) {
-      auto planner = baselines::MakePlanner(backend, warehouse.matrix, build);
+      auto planner = baselines::MakePlanner(backend, warehouse.matrix);
       if (planner == nullptr) return fail("unknown backend " + backend);
 
       sim::SimulatorOptions sopts;
@@ -183,7 +181,7 @@ PlannerDiffResult RunPlannerDifferential(const PlannerDiffOptions& opt) {
       srp::SrpPlanner speculative(warehouse.matrix);
       core::BatchPlanOptions bopts;
       bopts.threads = threads;
-      bopts.sharded_commit = false;  // the sharded pipeline is phase 5's job
+      bopts.sharded_commit = false;  // the sharded pipeline is phase 3b's job
       core::PlanBatch(speculative, 0, queries, bopts);
       if (speculative.committed_routes() != serial.committed_routes()) {
         std::ostringstream what;
@@ -205,14 +203,12 @@ PlannerDiffResult RunPlannerDifferential(const PlannerDiffOptions& opt) {
   // locks.
   for (const std::string& backend : Backends()) {
     const auto queries = MakeQueries(warehouse, 24, opt.seed + 3);
-    baselines::PlannerBuildOptions bbuild;
-    bbuild.heuristic = opt.heuristic;
-    auto serial = baselines::MakePlanner(backend, warehouse.matrix, bbuild);
+    auto serial = baselines::MakePlanner(backend, warehouse.matrix);
     core::PlanBatch(*serial, 0, queries);
     for (int threads : opt.thread_counts) {
       if (threads <= 1) continue;
-      auto spec = baselines::MakePlanner(backend, warehouse.matrix, bbuild);
-      auto sharded = baselines::MakePlanner(backend, warehouse.matrix, bbuild);
+      auto spec = baselines::MakePlanner(backend, warehouse.matrix);
+      auto sharded = baselines::MakePlanner(backend, warehouse.matrix);
       core::BatchPlanOptions bopts;
       bopts.threads = threads;
       bopts.sharded_commit = false;
@@ -265,54 +261,7 @@ PlannerDiffResult RunPlannerDifferential(const PlannerDiffOptions& opt) {
     }
   }
 
-  // ---- 4) Heuristic differential. Both heuristics are admissible for the
-  // optimal single-agent search, so over *identical* committed state they
-  // must return equally long routes — routes may differ under ties, costs
-  // may not. The states are kept identical by always committing the
-  // Manhattan planner's route into both planners (the table planner only
-  // ever QueryRoutes, which is const).
-  {
-    const auto queries = MakeQueries(warehouse, 24, opt.seed + 2);
-    baselines::PlannerBuildOptions manhattan_build;
-    manhattan_build.heuristic = core::HeuristicMode::kManhattan;
-    baselines::PlannerBuildOptions table_build;
-    table_build.heuristic = core::HeuristicMode::kTable;
-    auto manhattan =
-        baselines::MakePlanner("SAP", warehouse.matrix, manhattan_build);
-    auto table = baselines::MakePlanner("SAP", warehouse.matrix, table_build);
-    auto context = table->MakeQueryContext();
-    if (context == nullptr) return fail("SAP lost its speculation support");
-    TimeStep now = 0;
-    for (const auto& q : queries) {
-      const auto planned = manhattan->PlanRoute(now, q.origin, q.destination);
-      const auto mirrored =
-          table->QueryRoute(*context, now, q.origin, q.destination);
-      if (planned.has_value() != mirrored.has_value()) {
-        std::ostringstream what;
-        what << "heuristic cross-check: manhattan "
-             << (planned ? "found" : "missed") << " a route " << q.origin
-             << " -> " << q.destination << " at t=" << now << " but table "
-             << (mirrored ? "found one" : "did not");
-        return fail(what.str());
-      }
-      if (planned && mirrored && planned->end_time() != mirrored->end_time()) {
-        std::ostringstream what;
-        what << "heuristic cross-check: route costs diverged for " << q.origin
-             << " -> " << q.destination << " at t=" << now
-             << ": manhattan ends " << planned->end_time() << ", table ends "
-             << mirrored->end_time();
-        return fail(what.str());
-      }
-      if (planned) table->CommitRoute(*planned);
-      now += 3;  // stagger starts so reservations overlap in time
-    }
-    if (!core::ValidateRoutes(manhattan->committed_routes())) {
-      return fail(
-          "heuristic cross-check: manhattan route set is NOT collision-free");
-    }
-  }
-
-  // ---- 4b) Engine differential (DESIGN.md §2k): a grid backend rebuilt
+  // ---- 4) Engine differential (DESIGN.md §2k): a grid backend rebuilt
   // under the safe-interval engine must answer every query with a route of
   // exactly the cost the time-expanded build returns over identical
   // committed state — cost equality, never route identity (the interval
@@ -326,7 +275,6 @@ PlannerDiffResult RunPlannerDifferential(const PlannerDiffOptions& opt) {
     if (backend == "SRP" || backend == "SRP-noindex") continue;
     const auto queries = MakeQueries(warehouse, 24, opt.seed + 5);
     baselines::PlannerBuildOptions astar_build;
-    astar_build.heuristic = opt.heuristic;
     astar_build.engine = core::SearchEngine::kAstar;
     baselines::PlannerBuildOptions sipp_build = astar_build;
     sipp_build.engine = core::SearchEngine::kSipp;
@@ -384,123 +332,6 @@ PlannerDiffResult RunPlannerDifferential(const PlannerDiffOptions& opt) {
     }
   }
 
-  // SRP's inter-strip search is *weighted*, so its costs may legitimately
-  // differ between heuristics — for it, assert only that the manhattan
-  // mode still yields a valid, collision-free, draining day.
-  {
-    baselines::PlannerBuildOptions manhattan_build;
-    manhattan_build.heuristic = core::HeuristicMode::kManhattan;
-    auto planner =
-        baselines::MakePlanner("SRP", warehouse.matrix, manhattan_build);
-    sim::SimulatorOptions sopts;
-    sopts.validate = true;
-    sopts.retire_routes = opt.retire_routes;
-    sopts.prune_every = opt.prune_every;
-    sopts.prune_slack = opt.prune_slack;
-    sim::Simulator sim(warehouse, *planner, sopts);
-    const sim::RunMetrics m = sim.Run(tasks);
-    if (!m.validated || !m.collision_free) {
-      return fail(
-          "SRP (manhattan heuristic): committed route set is NOT "
-          "collision-free");
-    }
-    if (m.finished_tasks != m.total_tasks) {
-      return fail("SRP (manhattan heuristic): day did not drain");
-    }
-  }
-
-  return result;
-}
-
-HeuristicFaultResult RunHeuristicFaultCalibration(int max_seeds) {
-  HeuristicFaultResult result;
-  const layout::Warehouse warehouse =
-      layout::GenerateWarehouse(layout::PresetByName("tiny"));
-  const core::WarehouseMatrix& matrix = warehouse.matrix;
-
-  core::SpaceTimeAStarOptions manhattan_opts;
-  manhattan_opts.horizon = 4 * (matrix.height() + matrix.width());
-
-  for (std::uint64_t seed = 1;
-       seed <= static_cast<std::uint64_t>(max_seeds); ++seed) {
-    ++result.seeds_tried;
-    Rng rng(seed);
-    const GridCoord origin = warehouse.pickers[rng.UniformU32(
-        static_cast<std::uint32_t>(warehouse.pickers.size()))];
-    const GridCoord destination = warehouse.rack_access[rng.UniformU32(
-        static_cast<std::uint32_t>(warehouse.rack_access.size()))];
-    if (origin == destination) continue;
-
-    // A corrupted *interior* entry is provably harmless: once A* pops the
-    // inflated node, its descendants' f drops back to truth and the
-    // optimal goal arrival still pops first (in space-time A*, g is
-    // determined by the (cell, t) key, so closed-set suboptimality cannot
-    // occur either). The only corruption a cost audit can catch is one
-    // that makes A* *commit* to a wrong arrival — which requires fencing
-    // the goal: every traversable neighbour overestimated, with values
-    // *inverted* against the true origin distance so the farthest
-    // neighbour pops first and injects a suboptimal goal arrival that
-    // outruns the (still-fenced) optimal one.
-    core::HeuristicTable origin_table(matrix, origin);
-    if (origin_table.At(destination) >= kInfiniteTime) continue;
-
-    GridCoord nbrs[4];
-    const int cnt = matrix.Neighbors(destination, nbrs);
-    std::vector<std::pair<GridCoord, TimeStep>> fence;
-    for (int k = 0; k < cnt; ++k) {
-      if (!matrix.IsTraversable(nbrs[k])) continue;
-      const TimeStep d = origin_table.At(nbrs[k]);
-      if (d >= kInfiniteTime) continue;
-      fence.emplace_back(nbrs[k], d);
-    }
-    // Need two fence cells at *distinct* origin distances: if all
-    // neighbours tie, the injected arrival equals the optimal cost and no
-    // audit can (or should) fire.
-    TimeStep dmin = kInfiniteTime, dmax = -1;
-    for (const auto& [cell, d] : fence) {
-      dmin = std::min(dmin, d);
-      dmax = std::max(dmax, d);
-    }
-    if (fence.size() < 2 || dmin == dmax) continue;
-
-    // The control: a clean table must agree with Manhattan on cost.
-    core::SpaceTimeAStarOptions table_opts = manhattan_opts;
-    core::HeuristicTable goal_table(matrix, destination);
-    table_opts.heuristic = &goal_table;
-    core::ReservationTable empty;
-    core::SpaceTimeAStar engine(matrix);
-    const auto by_manhattan =
-        engine.Plan(empty, 0, origin, destination, manhattan_opts);
-    const auto by_clean =
-        engine.Plan(empty, 0, origin, destination, table_opts);
-    if (!by_manhattan.has_value() || !by_clean.has_value() ||
-        by_manhattan->end_time() != by_clean->end_time()) {
-      result.detail = "clean control diverged — harness bug, not detection";
-      return result;
-    }
-
-    for (const auto& [cell, d] : fence) {
-      goal_table.CorruptForTest(cell, 50000 - 32 * d);
-    }
-    const auto by_corrupt =
-        engine.Plan(empty, 0, origin, destination, table_opts);
-    if (!by_corrupt.has_value() ||
-        by_corrupt->end_time() != by_manhattan->end_time()) {
-      result.detected = true;
-      result.detected_seed = seed;
-      std::ostringstream out;
-      out << "seed " << seed << ": corrupt table steered " << origin << " -> "
-          << destination << " to cost "
-          << (by_corrupt.has_value()
-                  ? by_corrupt->end_time() - by_corrupt->start_time()
-                  : static_cast<TimeStep>(-1))
-          << " vs optimal "
-          << by_manhattan->end_time() - by_manhattan->start_time();
-      result.detail = out.str();
-      return result;
-    }
-  }
-  result.detail = "no scenario produced a cost mismatch within the budget";
   return result;
 }
 

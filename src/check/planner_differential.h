@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "core/heuristic_table.h"
-
 namespace carp::check {
 
 /// Shape of one planner-level differential scenario. Deterministic in
@@ -20,24 +18,11 @@ struct PlannerDiffOptions {
   std::int64_t prune_every = 256;
   std::int64_t prune_slack = 32;
   std::vector<int> thread_counts = {1, 4};
-
-  /// Heuristic the simulated-day sweep builds its planners with. The
-  /// table-vs-manhattan cross-check below runs in both modes regardless.
-  core::HeuristicMode heuristic = core::HeuristicMode::kTable;
 };
 
 struct PlannerDiffResult {
   bool ok = true;
   std::string error;
-};
-
-/// Result of the kCorruptHeuristicEntry calibration (see
-/// RunHeuristicFaultCalibration).
-struct HeuristicFaultResult {
-  bool detected = false;   // the cost-mismatch audit flagged the corruption
-  int seeds_tried = 0;     // scenarios attempted before detection (or budget)
-  std::uint64_t detected_seed = 0;  // the seed that tripped the audit
-  std::string detail;      // human-readable account of the detection/failure
 };
 
 /// Result of the kOverwideInterval calibration (see
@@ -63,19 +48,6 @@ struct EngineFaultResult {
 /// fail to produce a mismatch.
 EngineFaultResult RunEngineFaultCalibration(int max_seeds);
 
-/// Proves the detection power of the planner differential's heuristic
-/// cost-mismatch audit (phase 4) against StoreFault::kCorruptHeuristicEntry:
-/// for each seed, a goal table is corrupted with *inadmissible, inverted*
-/// entries around the goal — every traversable goal neighbour N gets the
-/// overestimate 50000 - 32 * d(N, origin), so the farthest neighbour pops
-/// first and A* commits to a provably suboptimal goal arrival. The same
-/// seed's *clean* table must agree with Manhattan exactly (the control);
-/// the corrupted one must not. Seeds without enough distinct goal
-/// neighbours are skipped (interior-only corruption is provably recovered
-/// from by A*, so it can never trip a cost audit). Returns detected=false
-/// only if `max_seeds` scenarios all fail to produce a mismatch.
-HeuristicFaultResult RunHeuristicFaultCalibration(int max_seeds);
-
 /// Drives every planning backend ("SAP", "RP", "TWP", "ACP", "SRP",
 /// "SRP-noindex") through the same random scenario and cross-checks:
 ///
@@ -94,11 +66,6 @@ HeuristicFaultResult RunHeuristicFaultCalibration(int max_seeds);
 ///    route set (and, for exact-speculation backends — SAP and the SRP
 ///    variants — the serial loop's), with clean shard/store invariants
 ///    and every accepted route routed through the shard locks;
-///  * heuristic cross-check — an optimal single-agent search guided by the
-///    true-distance table must return routes of exactly the cost the
-///    Manhattan-guided search returns over identical committed state
-///    (routes may differ under ties; costs may not), and an SRP day in
-///    manhattan mode must stay collision-free;
 ///  * engine equivalence (DESIGN.md §2k) — every grid backend rebuilt with
 ///    the time-expanded and with the safe-interval search engine must
 ///    answer each query of a shared stream with routes of exactly equal

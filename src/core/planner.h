@@ -36,20 +36,16 @@ struct PlannerStats {
   std::int64_t speculative_invalidated = 0;  // batch: rejected at commit
   std::int64_t routes_released = 0;  // lifecycle: routes retired one-by-one
   std::int64_t routes_pruned = 0;    // lifecycle: routes dropped wholesale
-  std::int64_t heuristic_hits = 0;       // table cache: Acquire served cached
-  std::int64_t heuristic_misses = 0;     // table cache: BFS builds
-  std::int64_t heuristic_evictions = 0;  // table cache: budget evictions
-  std::int64_t heuristic_rebuilds = 0;   // table cache: eviction-thrash builds
-  std::size_t heuristic_bytes = 0;       // table cache: bytes retained (gauge)
-  // Async prefetch pipeline (DESIGN.md §2j): builds scheduled on the shared
-  // pool by Prefetch, the subset that was hot by first demand use, and the
-  // subset demand beat to the finish line.
-  std::int64_t heuristic_prefetch_scheduled = 0;
-  std::int64_t heuristic_prefetch_hits = 0;
+  // Always zero: every search is bounded by (weighted) Manhattan and no
+  // planner builds per-goal distance tables. Kept, with HeuristicHitRate()
+  // and Planner::PrefetchHeuristic, only because the frozen daybench/
+  // sources read them; deleted with the next benchmark change.
+  std::int64_t heuristic_hits = 0;
+  std::int64_t heuristic_misses = 0;
+  std::int64_t heuristic_evictions = 0;
+  std::int64_t heuristic_rebuilds = 0;
+  std::size_t heuristic_bytes = 0;
   std::int64_t heuristic_prefetch_late = 0;
-  // Build-vs-query wall-clock split: total BFS build seconds (demand +
-  // prefetch), and the subset spent on pool workers — the thread-pool
-  // build occupancy. Query time is the run's TC minus build_seconds.
   double heuristic_build_seconds = 0;
   double heuristic_prefetch_build_seconds = 0;
   // SRP collision kernel (aggregated over all segment stores; see
@@ -115,17 +111,6 @@ struct PlannerStats {
     speculative_invalidated += other.speculative_invalidated;
     routes_released += other.routes_released;
     routes_pruned += other.routes_pruned;
-    heuristic_hits += other.heuristic_hits;
-    heuristic_misses += other.heuristic_misses;
-    heuristic_evictions += other.heuristic_evictions;
-    heuristic_rebuilds += other.heuristic_rebuilds;
-    heuristic_prefetch_scheduled += other.heuristic_prefetch_scheduled;
-    heuristic_prefetch_hits += other.heuristic_prefetch_hits;
-    heuristic_prefetch_late += other.heuristic_prefetch_late;
-    heuristic_build_seconds += other.heuristic_build_seconds;
-    heuristic_prefetch_build_seconds += other.heuristic_prefetch_build_seconds;
-    // A gauge, not a counter: both sides observed the same shared cache.
-    heuristic_bytes = std::max(heuristic_bytes, other.heuristic_bytes);
     candidates_examined += other.candidates_examined;
     blocks_scanned += other.blocks_scanned;
     blocks_skipped += other.blocks_skipped;
@@ -164,7 +149,7 @@ struct PlannerStats {
                      static_cast<double>(kernel_lanes_processed);
   }
 
-  /// Fraction of table-cache lookups served without a BFS build.
+  /// Always zero (see heuristic_hits).
   double HeuristicHitRate() const {
     const std::int64_t total = heuristic_hits + heuristic_misses;
     return total == 0 ? 0.0
@@ -430,13 +415,8 @@ class Planner : public MemoryMetered {
     stats_.speculative_invalidated += invalidated;
   }
 
-  /// Non-blocking hint that `destination` will soon be queried: planners
-  /// backed by a heuristic-table cache schedule the goal's BFS build on
-  /// `pool` (HeuristicTableCache::Prefetch), so by query time the table is
-  /// usually hot. Purely a warm-up — prefetch only moves *when* a build
-  /// runs, never what it builds, so results are bit-identical with or
-  /// without it (the determinism tests fingerprint this). Default: no-op
-  /// for planners without a table cache. Const and thread-safe.
+  /// No-op on every planner (see PlannerStats::heuristic_hits): kept
+  /// virtual only because the frozen daybench/ TracedPlanner overrides it.
   virtual void PrefetchHeuristic(GridCoord destination,
                                  ThreadPool* pool) const {
     (void)destination;
@@ -456,8 +436,8 @@ class Planner : public MemoryMetered {
   /// sequences (SRP), this log is excluded from RetainedBytes().
   const std::vector<Route>& committed_routes() const { return route_log_; }
 
-  /// Virtual so planners owning a shared heuristic cache can overlay its
-  /// live counters onto the returned snapshot.
+  /// Virtual so planners can overlay counters their live structures keep
+  /// (segment-store scans, shard locks) onto the returned snapshot.
   virtual const PlannerStats& stats() const { return stats_; }
 
  protected:

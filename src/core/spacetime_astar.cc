@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "core/heuristic_table.h"
 
 namespace carp::core {
 
@@ -80,11 +79,8 @@ std::optional<Route> SpaceTimeAStar::Plan(
   };
   if (!endpoint_ok(origin) || !endpoint_ok(destination)) return std::nullopt;
 
-  const HeuristicTable* table = options.heuristic;
-  if (table != nullptr) CARP_CHECK(table->goal() == destination);
   auto lower_bound = [&](GridCoord g) {
-    return table != nullptr ? table->LowerBound(g)
-                            : ManhattanDistance(g, destination);
+    return ManhattanDistance(g, destination);
   };
 
   const TimeStep deadline = start_time + options.horizon;

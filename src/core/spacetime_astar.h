@@ -15,8 +15,6 @@
 
 namespace carp::core {
 
-class HeuristicTable;
-
 /// Options for a space-time A* search.
 struct SpaceTimeAStarOptions {
   /// Search may not extend past start_time + horizon. A generous default is
@@ -32,13 +30,6 @@ struct SpaceTimeAStarOptions {
 
   /// Permit origin/destination on rack cells (entered as endpoint only).
   bool allow_endpoint_racks = false;
-
-  /// When set, guides the search with true-distance lower bounds for this
-  /// goal instead of Manhattan (must have goal() == destination; the caller
-  /// keeps the table alive for the duration of Plan — see
-  /// HeuristicTableCache's shared_ptr snapshots). Exact distances remain
-  /// admissible and consistent, so routes stay earliest-arrival.
-  const HeuristicTable* heuristic = nullptr;
 
   /// Which engine answers the query when planning against a concrete
   /// ReservationTable (SearchEngineDriver dispatch — DESIGN.md §2k).
@@ -111,9 +102,9 @@ class ParentMap {
 ///
 /// Finds the earliest-arrival route from `origin` (occupied at
 /// `start_time`) to `destination` that respects `reservations` (vertex and
-/// swap constraints), with waiting allowed. Both heuristics (Manhattan and
-/// the optional true-distance table) are admissible, so returned routes
-/// arrive as early as possible given the constraints.
+/// swap constraints), with waiting allowed. The Manhattan bound is
+/// admissible, so returned routes arrive as early as possible given the
+/// constraints.
 ///
 /// The engine owns its search workspace (parent map + open list) and reuses
 /// the allocations across Plan calls; steady-state queries allocate nothing

@@ -24,13 +24,6 @@ PlannerService::PlannerService(core::Planner& planner,
 }
 
 void PlannerService::Submit(const PlanRequest& request) {
-  // Warm the goal's distance table before the request even queues: the
-  // build overlaps the wave interval on the pool, and because tables are
-  // pure functions of matrix + goal, the routes are bit-identical whether
-  // the prefetch wins the race or the query phase builds on demand.
-  if (options_.prefetch_heuristics) {
-    planner_.PrefetchHeuristic(request.destination, &pool_);
-  }
   queue_.Push(request);
   admitted_.fetch_add(1, std::memory_order_relaxed);
 }

@@ -118,14 +118,6 @@ struct ServiceOptions {
   std::size_t refine_neighborhood = 8;
   std::uint64_t refine_seed = 1;
   int refine_iterations_per_tick = 1;
-
-  /// Warm the destination's distance table on the service pool at Submit
-  /// time (DESIGN.md §2j). By the time the request's wave forms, the build
-  /// has usually finished on an otherwise-idle worker, so the query phase
-  /// pays table-lookup prices without the first-query build stall. Tables
-  /// are pure functions of the matrix + goal, so prefetch timing can never
-  /// change a route — only when its build cost is paid.
-  bool prefetch_heuristics = true;
 };
 
 /// Per-request / per-wave telemetry of a service run. Latency percentiles

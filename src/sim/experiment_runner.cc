@@ -30,7 +30,6 @@ std::vector<RunMetrics> RunExperiment(const ExperimentConfig& config) {
 
     for (const std::string& algorithm : config.algorithms) {
       baselines::PlannerBuildOptions build;
-      build.heuristic = config.simulator.heuristic;
       build.engine = config.simulator.engine;
       auto planner =
           baselines::MakePlanner(algorithm, warehouse.matrix, build);

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/heuristic_table.h"
 #include "core/planner.h"
 #include "core/search_engine.h"
 #include "layout/layout_generator.h"
@@ -56,15 +55,9 @@ struct SimulatorOptions {
   /// `now` never race the sweep (retire_routes only).
   TimeStep prune_slack = 64;
 
-  /// Search heuristic the run's planner was built with; recorded so the
-  /// bench tables can label runs. (The planner is constructed by the
-  /// caller — see baselines::MakePlanner — so this field is labelling, not
-  /// behaviour.)
-  core::HeuristicMode heuristic = core::HeuristicMode::kTable;
-
   /// Search engine requested for the grid-based planners (kAuto =
-  /// CARP_FORCE_ENGINE, then the time-expanded default). Like `heuristic`,
-  /// this reaches the planner through baselines::PlannerBuildOptions. The
+  /// CARP_FORCE_ENGINE, then the time-expanded default). It reaches the
+  /// planner through baselines::PlannerBuildOptions. The
   /// engines guarantee equal route costs, not identical routes
   /// (DESIGN.md §2k).
   core::SearchEngine engine = core::SearchEngine::kAuto;

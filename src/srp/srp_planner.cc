@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "core/spacetime_oracle.h"
 #include "srp/segment_index.h"
 
@@ -106,22 +105,6 @@ SrpPlanner::SrpPlanner(const core::WarehouseMatrix& matrix,
   fallback_options_.horizon =
       std::max<TimeStep>(fallback_options_.horizon,
                          4 * (matrix.height() + matrix.width()));
-  if (options_.heuristic == core::HeuristicMode::kTable) {
-    // Strip ids double as the table's regions, so each per-goal build also
-    // yields the strip-level distance table (RegionMin) the inter-strip
-    // search prunes with.
-    std::vector<std::int32_t> region_of_cell(
-        static_cast<std::size_t>(matrix.CellCount()));
-    for (std::int64_t i = 0; i < matrix.CellCount(); ++i) {
-      region_of_cell[static_cast<std::size_t>(i)] =
-          static_cast<std::int32_t>(graph_.StripOf(matrix.CoordOf(i)));
-    }
-    core::HeuristicTableCache::Options cache_options;
-    cache_options.budget_bytes = options_.heuristic_budget_bytes;
-    hcache_ = std::make_unique<core::HeuristicTableCache>(
-        matrix_, cache_options, std::move(region_of_cell),
-        graph_.strips().size());
-  }
 }
 
 void SrpPlanner::Reset() {
@@ -251,8 +234,8 @@ std::optional<TimeStep> SrpPlanner::CrossingTime(StripId u,
 }
 
 std::optional<SrpPath> SrpPlanner::StaticFirstPlan(
-    Search& search, const core::HeuristicTable* table, TimeStep start,
-    GridCoord origin, GridCoord destination) const {
+    Search& search, TimeStep start, GridCoord origin,
+    GridCoord destination) const {
   const StripId vo = graph_.StripOf(origin);
   const StripId vd = graph_.StripOf(destination);
   if (StoreOf(vo) == nullptr || StoreOf(vd) == nullptr) return std::nullopt;
@@ -276,8 +259,7 @@ std::optional<SrpPath> SrpPlanner::StaticFirstPlan(
     return label;
   };
   auto lower_bound = [&](GridCoord cell) -> TimeStep {
-    return table != nullptr ? table->LowerBound(cell)
-                            : ManhattanDistance(cell, destination);
+    return ManhattanDistance(cell, destination);
   };
   auto weighted = [&](TimeStep lb) -> TimeStep {
     if (!options_.use_goal_heuristic) return 0;
@@ -309,33 +291,18 @@ std::optional<SrpPath> SrpPlanner::StaticFirstPlan(
       break;
     }
     const Strip& strip_u = graph_.strip(u);
-    // Loop-invariant bound of the settled strip's entry cell: in table
-    // mode every lower_bound call is a scattered load into the distance
-    // table, so it is computed once per settle instead of once per edge.
+    // Bound of the settled strip's entry cell, shared by every edge's
+    // detour prune.
     const bool detour_prune =
         options_.detour_slack >= 0 && options_.use_goal_heuristic;
     const TimeStep lb_u =
         detour_prune ? lower_bound(strip_u.CellAt(lu.entry_pos)) : 0;
 
-    // Two-pass adjacency scan: collect contacts and start the table-line
-    // loads for the whole neighbourhood first, then relax. In table mode
-    // each entry-cell bound is a scattered uint16 load into this goal's
-    // distance table; batching the prefetches overlaps those misses
-    // instead of stalling once per edge. Pass order equals the original
-    // single loop, so labels, pushes and routes are bit-identical.
-    std::vector<EdgeCand>& cands = search.edge_scratch;
-    cands.clear();
     for (const StripEdge& edge : graph_.EdgesOf(u)) {
       const StripId v = edge.to;
-      if (label_of(v).settled) continue;
+      Label& lv = label_of(v);
+      if (lv.settled) continue;
       if (StoreOf(v) == nullptr) continue;  // rack strips not traversed
-      TimeStep region_lb = 0;
-      if (table != nullptr) {
-        // Strip-level distance table: a strip none of whose cells reaches
-        // the goal cannot lie on any route to it.
-        region_lb = table->RegionMin(static_cast<std::int32_t>(v));
-        if (region_lb >= kInfiniteTime) continue;
-      }
 
       const StripContact& contact =
           v == vd ? edge.ContactNearestToTarget(
@@ -344,25 +311,6 @@ std::optional<SrpPath> SrpPlanner::StaticFirstPlan(
       const std::int64_t hop_lb =
           lu.entry_pos > contact.pos_u ? lu.entry_pos - contact.pos_u
                                        : contact.pos_u - lu.entry_pos;
-      // Weak tube prune on the strip-level bound: RegionMin(v) never
-      // exceeds the entry cell's table distance, so whenever even it blows
-      // the slack the per-cell bound would too — the edge is dropped here
-      // without touching the (cache-cold) per-cell table at all. Most
-      // tube-pruned edges die on this hot ~1KB array; only survivors pay
-      // a per-cell load. Prunes exactly the edges pass 2 would prune.
-      if (detour_prune && table != nullptr &&
-          hop_lb + 1 + region_lb - lb_u > options_.detour_slack) {
-        continue;
-      }
-      const GridCoord entry_cell_v = graph_.strip(v).CellAt(contact.pos_v);
-      if (table != nullptr) table->PrefetchCell(entry_cell_v);
-      cands.push_back(EdgeCand{&contact, v, hop_lb, entry_cell_v});
-    }
-
-    for (const EdgeCand& cand : cands) {
-      const StripId v = cand.v;
-      Label& lv = label_of(v);
-      const std::int64_t hop_lb = cand.hop_lb;
       // Popularity bias: strips that accumulated many segments are busy
       // corridors; a small penalty steers the static chain around them,
       // raising the timing pass's success rate.
@@ -372,22 +320,20 @@ std::optional<SrpPath> SrpPlanner::StaticFirstPlan(
       if (dist_v >= lv.arrival) continue;
 
       // One bound per surviving edge, shared by the detour prune and the
-      // open-list key (weighted() rescales it without re-reading).
+      // open-list key.
       const TimeStep lb_v =
-          options_.use_goal_heuristic ? lower_bound(cand.entry_cell_v) : 0;
+          options_.use_goal_heuristic
+              ? lower_bound(graph_.strip(v).CellAt(contact.pos_v))
+              : 0;
       if (detour_prune) {
-        // With true distances the bound is tight along optimal corridors
-        // (detour ~ 0), so the slack prunes strictly more than Manhattan's
-        // slackened estimate ever could — without losing any route within
-        // `detour_slack` of shortest.
         const std::int64_t detour = hop_lb + 1 + lb_v - lb_u;
         if (detour > options_.detour_slack) continue;
       }
 
       lv.arrival = dist_v;
-      lv.entry_pos = cand.contact->pos_v;
+      lv.entry_pos = contact.pos_v;
       lv.pred = u;
-      lv.pred_exit_pos = cand.contact->pos_u;
+      lv.pred_exit_pos = contact.pos_u;
       open.Push(dist_v + weighted(lb_v), 0, v);
     }
   }
@@ -445,8 +391,8 @@ std::optional<SrpPath> SrpPlanner::StaticFirstPlan(
 }
 
 std::optional<SrpPath> SrpPlanner::InterStripSearch(
-    Search& search, const core::HeuristicTable* table, TimeStep start,
-    GridCoord origin, GridCoord destination) const {
+    Search& search, TimeStep start, GridCoord origin,
+    GridCoord destination) const {
   const bool timed = options_.enable_time_breakdown && search.allow_timing;
   if (timed) inter_watch_.Start();
   auto stop_watch = [&]() {
@@ -479,8 +425,7 @@ std::optional<SrpPath> SrpPlanner::InterStripSearch(
   label_of(vo).entry_pos = graph_.strip(vo).PositionOf(origin);
 
   auto lower_bound = [&](GridCoord cell) -> TimeStep {
-    return table != nullptr ? table->LowerBound(cell)
-                            : ManhattanDistance(cell, destination);
+    return ManhattanDistance(cell, destination);
   };
   auto weighted = [&](TimeStep lb) -> TimeStep {
     if (!options_.use_goal_heuristic) return 0;
@@ -562,30 +507,17 @@ std::optional<SrpPath> SrpPlanner::InterStripSearch(
       return path;
     }
 
-    // Loop-invariant bound of the settled entry cell (see StaticFirstPlan).
+    // Bound of the settled entry cell (see StaticFirstPlan).
     const bool detour_prune =
         options_.detour_slack >= 0 && options_.use_goal_heuristic;
     const TimeStep lb_u =
         detour_prune ? lower_bound(strip_u.CellAt(lu.entry_pos)) : 0;
 
-    // Two-pass adjacency scan (see StaticFirstPlan): pass 1 picks the
-    // greedy-transit contact per edge and starts the table-line loads for
-    // the whole neighbourhood, pass 2 relaxes in the same order with the
-    // misses already in flight. The label-dependent pre-check stays in
-    // pass 2 — labels mutate between relaxations of one settle.
-    std::vector<EdgeCand>& cands = search.edge_scratch;
-    cands.clear();
     for (const StripEdge& edge : graph_.EdgesOf(u)) {
       const StripId v = edge.to;
-      if (label_of(v).settled) continue;
+      Label& lv = label_of(v);
+      if (lv.settled) continue;
       if (StoreOf(v) == nullptr) continue;  // rack strips are not traversed
-      TimeStep region_lb = 0;
-      if (table != nullptr) {
-        // Strip-level distance table: a strip none of whose cells reaches
-        // the goal cannot lie on any route to it.
-        region_lb = table->RegionMin(static_cast<std::int32_t>(v));
-        if (region_lb >= kInfiniteTime) continue;
-      }
 
       // Greedy transit (Sec. VI): cross at the pair containing the source
       // grid — except into the destination strip, where entering next to
@@ -597,35 +529,19 @@ std::optional<SrpPath> SrpPlanner::InterStripSearch(
       const std::int64_t hop_lb =
           lu.entry_pos > contact.pos_u ? lu.entry_pos - contact.pos_u
                                        : contact.pos_u - lu.entry_pos;
-      // Weak tube prune on RegionMin (see StaticFirstPlan): drops exactly
-      // the edges whose per-cell bound would blow the slack anyway, without
-      // the scattered per-cell table load.
-      if (detour_prune && table != nullptr &&
-          hop_lb + 1 + region_lb - lb_u > options_.detour_slack) {
-        continue;
-      }
-      const GridCoord entry_cell_v = graph_.strip(v).CellAt(contact.pos_v);
-      if (table != nullptr) table->PrefetchCell(entry_cell_v);
-      cands.push_back(EdgeCand{&contact, v, hop_lb, entry_cell_v});
-    }
-
-    for (const EdgeCand& cand : cands) {
-      const StripId v = cand.v;
-      Label& lv = label_of(v);
-      const StripContact& contact = *cand.contact;
-      const std::int64_t hop_lb = cand.hop_lb;
 
       // Relaxation pre-check: even a wait-free traversal cannot arrive in
       // v before this lower bound, so skip the (comparatively expensive)
       // intra-strip search when it cannot improve v's label.
       if (lu.arrival + hop_lb + 1 >= lv.arrival) continue;
 
-      // One bound per surviving edge (table-mode lower_bound calls are
-      // scattered loads), shared by the tube prune and the open-list key.
+      // One bound per surviving edge, shared by the tube prune and the
+      // open-list key.
       const TimeStep lb_v =
-          options_.use_goal_heuristic ? lower_bound(cand.entry_cell_v) : 0;
-      // Geodesic-tube pruning (see SrpPlannerOptions::detour_slack); true
-      // distances make the tube tight around actual shortest corridors.
+          options_.use_goal_heuristic
+              ? lower_bound(graph_.strip(v).CellAt(contact.pos_v))
+              : 0;
+      // Geodesic-tube pruning (see SrpPlannerOptions::detour_slack).
       if (detour_prune) {
         const std::int64_t detour = hop_lb + 1 + lb_v - lb_u;
         if (detour > options_.detour_slack) continue;
@@ -923,14 +839,11 @@ void SrpPlanner::OnShardedFlush() {
 }
 
 std::optional<core::Route> SrpPlanner::FallbackPlan(
-    Search& search, core::PlannerStats& stats,
-    const core::HeuristicTable* table, TimeStep start, GridCoord origin,
-    GridCoord destination) const {
+    Search& search, core::PlannerStats& stats, TimeStep start,
+    GridCoord origin, GridCoord destination) const {
   SegmentOracle oracle(graph_, stores_, crossings_);
-  core::SpaceTimeAStarOptions engine_options = fallback_options_;
-  engine_options.heuristic = table;  // PlanQuery's keepalive outlives Plan
   auto route = search.fallback_engine.Plan(oracle, start, origin, destination,
-                                           engine_options);
+                                           fallback_options_);
   const auto& engine_stats = search.fallback_engine.last_stats();
   stats.expanded_nodes += engine_stats.expanded;
   search.peak_search_bytes =
@@ -954,26 +867,16 @@ std::optional<SrpPlanner::Planned> SrpPlanner::PlanQuery(
     return std::nullopt;
   }
 
-  // One cache acquisition serves the whole query: both inter-strip passes
-  // and the fallback share the destination's table. The shared_ptr snapshot
-  // keeps the table alive even if the cache evicts it mid-query.
-  std::shared_ptr<const core::HeuristicTable> keepalive;
-  const core::HeuristicTable* table = nullptr;
-  if (hcache_ != nullptr) {
-    keepalive = hcache_->Acquire(destination);
-    table = keepalive.get();
-  }
-
   const bool timed = options_.enable_time_breakdown && search.allow_timing;
   std::optional<SrpPath> path;
   if (options_.use_static_first) {
     if (timed) inter_watch_.Start();
-    path = StaticFirstPlan(search, table, *start, origin, destination);
+    path = StaticFirstPlan(search, *start, origin, destination);
     if (timed) inter_watch_.Stop();
     if (path.has_value()) ++stats.static_path_hits;
   }
   if (!path.has_value()) {
-    path = InterStripSearch(search, table, *start, origin, destination);
+    path = InterStripSearch(search, *start, origin, destination);
   }
   if (path.has_value()) {
     if (timed) conversion_watch_.Start();
@@ -983,8 +886,7 @@ std::optional<SrpPlanner::Planned> SrpPlanner::PlanQuery(
   }
 
   ++stats.fallbacks;
-  auto route = FallbackPlan(search, stats, table, *start, origin,
-                            destination);
+  auto route = FallbackPlan(search, stats, *start, origin, destination);
   if (!route.has_value()) {
     ++stats.failures;
     return std::nullopt;
@@ -1010,13 +912,6 @@ std::optional<core::Route> SrpPlanner::PlanRoute(TimeStep now,
   route_log_.push_back(planned->route);
   MaybeAuditLifecycle();
   return std::move(planned->route);
-}
-
-void SrpPlanner::PrefetchHeuristic(GridCoord destination,
-                                   ThreadPool* pool) const {
-  if (hcache_ == nullptr || pool == nullptr) return;
-  if (!matrix_.InBounds(destination)) return;
-  hcache_->Prefetch(destination, *pool);
 }
 
 std::unique_ptr<core::Planner::QueryContext> SrpPlanner::MakeQueryContext()

@@ -13,7 +13,6 @@
 #include "common/timer.h"
 #include "common/types.h"
 #include "core/bucket_queue.h"
-#include "core/heuristic_table.h"
 #include "core/planner.h"
 #include "core/spacetime_astar.h"
 #include "core/warehouse.h"
@@ -89,16 +88,6 @@ struct SrpPlannerOptions {
   /// the retry overhead cancels the probe-free savings (see the
   /// micro_planners bench for the ablation).
   bool use_static_first = false;
-
-  /// Lower bound guiding the inter-strip searches and the A* fallback.
-  /// Table mode replaces weighted Manhattan with per-goal true distances
-  /// (shared HeuristicTableCache), which also tightens the detour_slack
-  /// pruning and prunes strips that cannot reach the goal at all.
-  core::HeuristicMode heuristic = core::HeuristicMode::kTable;
-
-  /// Byte budget of the per-goal distance-table cache (table mode only).
-  std::size_t heuristic_budget_bytes =
-      core::HeuristicTableCache::Options{}.budget_bytes;
 
   /// Ownership shards of the concurrent commit path (DESIGN.md §2h).
   /// Strips are assigned to shards round-robin; a route's commit locks
@@ -224,25 +213,11 @@ class SrpPlanner final : public core::Planner {
   /// the day's working-set peak even after all routes were released.
   std::size_t peak_segment_count() const { return peak_segments_; }
 
-  /// Committed-state counters plus live overlays of the shared
-  /// heuristic-cache counters (see GridPlannerBase::stats for rationale)
-  /// and the segment stores' collision-kernel counters (the stores count
-  /// their own scans; the planner view aggregates on read).
+  /// Committed-state counters plus live overlays of the segment stores'
+  /// collision-kernel counters (the stores count their own scans; the
+  /// planner view aggregates on read) and the shard locks' counters.
   const core::PlannerStats& stats() const override {
     stats_view_ = stats_;
-    if (hcache_ != nullptr) {
-      const auto h = hcache_->stats();
-      stats_view_.heuristic_hits = h.hits;
-      stats_view_.heuristic_misses = h.misses;
-      stats_view_.heuristic_evictions = h.evictions;
-      stats_view_.heuristic_rebuilds = h.rebuilds;
-      stats_view_.heuristic_prefetch_scheduled = h.prefetch_scheduled;
-      stats_view_.heuristic_prefetch_hits = h.prefetch_hits;
-      stats_view_.heuristic_prefetch_late = h.prefetch_late;
-      stats_view_.heuristic_build_seconds = h.build_seconds;
-      stats_view_.heuristic_prefetch_build_seconds = h.prefetch_build_seconds;
-      stats_view_.heuristic_bytes = h.bytes;
-    }
     const SegmentStoreStats ss = StoreStats();
     stats_view_.candidates_examined = ss.candidates_examined;
     stats_view_.blocks_scanned = ss.blocks_scanned;
@@ -275,11 +250,6 @@ class SrpPlanner final : public core::Planner {
   /// O(committed route length), so production call sites sample it.
   std::string CheckInvariants() const;
 
-  /// Warms the shared table cache for `destination` on `pool` (see
-  /// core::Planner::PrefetchHeuristic). No-op in Manhattan mode.
-  void PrefetchHeuristic(GridCoord destination,
-                         ThreadPool* pool) const override;
-
  private:
   // Bytes charged per live inter-strip open-list entry in the MC footprint:
   // one (f, tie-break, strip) record.
@@ -293,18 +263,6 @@ class SrpPlanner final : public core::Planner {
     std::int64_t pred_exit_pos = -1;          // static search: exit in pred
     std::vector<geometry::Segment> pred_leg;  // dynamic search: pred leg
     bool settled = false;
-  };
-
-  // One relaxation candidate of the two-pass adjacency scan: the strip
-  // searches first sweep a settled strip's edges collecting contacts and
-  // prefetching their heuristic-table lines, then relax in a second pass
-  // once the loads are in flight (same order, same arithmetic — the split
-  // only overlaps memory latency, it never changes a route).
-  struct EdgeCand {
-    const StripContact* contact;
-    StripId v;
-    std::int64_t hop_lb;
-    GridCoord entry_cell_v;
   };
 
   /// Per-worker search workspace: everything a query mutates. The serial
@@ -326,10 +284,6 @@ class SrpPlanner final : public core::Planner {
     // (capacity kept) at each search, so steady-state queries do not
     // reallocate it.
     core::BucketQueue<StripId> open;
-
-    // Adjacency scratch of the two-pass edge scan (capacity kept across
-    // settles and queries).
-    std::vector<EdgeCand> edge_scratch;
 
     // Peak per-query search footprint (labels + fallback A* sets), the
     // runtime-space component of the paper's MC metric.
@@ -377,17 +331,13 @@ class SrpPlanner final : public core::Planner {
                                    GridCoord destination) const;
 
   // Inter-strip search (Alg. 4). Returns the strip-level path on success.
-  // `table` (may be null) supplies true-distance lower bounds and the
-  // strip-level reachability minima.
-  std::optional<SrpPath> InterStripSearch(Search& search,
-                                          const core::HeuristicTable* table,
-                                          TimeStep start, GridCoord origin,
+  std::optional<SrpPath> InterStripSearch(Search& search, TimeStep start,
+                                          GridCoord origin,
                                           GridCoord destination) const;
 
   // Static-first fast path: probe-free strip-chain search + timing pass.
-  std::optional<SrpPath> StaticFirstPlan(Search& search,
-                                         const core::HeuristicTable* table,
-                                         TimeStep start, GridCoord origin,
+  std::optional<SrpPath> StaticFirstPlan(Search& search, TimeStep start,
+                                         GridCoord origin,
                                          GridCoord destination) const;
 
   // Earliest departure tau >= depart0 such that stepping from position
@@ -403,7 +353,6 @@ class SrpPlanner final : public core::Planner {
   // fails (Sec. VI). Search only — the caller commits.
   std::optional<core::Route> FallbackPlan(Search& search,
                                           core::PlannerStats& stats,
-                                          const core::HeuristicTable* table,
                                           TimeStep start, GridCoord origin,
                                           GridCoord destination) const;
 
@@ -458,12 +407,6 @@ class SrpPlanner final : public core::Planner {
   std::vector<std::unique_ptr<SegmentStore>> stores_;  // null for rack strips
   ShardedCrossings crossings_;
 
-  // Shared per-goal distance tables with strip-level minima (null in
-  // Manhattan mode). Survives Reset() — tables are pure functions of the
-  // matrix. Excluded from RetainedBytes(): the paper's MC metric records
-  // collision-avoidance state, while the cache is a bounded accelerator
-  // reported separately via PlannerStats::heuristic_bytes.
-  std::unique_ptr<core::HeuristicTableCache> hcache_;
   mutable core::PlannerStats stats_view_;
 
   // Lifetime peak of the live-segment total (peak_segment_count()); the

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/collision.h"
-#include "core/heuristic_table.h"
 #include "core/reservation_table.h"
 
 namespace carp::core {
@@ -140,28 +139,6 @@ TEST_F(SpaceTimeAStarTest, ScratchReusedAcrossQueriesWithoutReallocation) {
     EXPECT_EQ(now.parent_slots, warm.parent_slots);
     EXPECT_EQ(now.open_capacity, warm.open_capacity);
   }
-}
-
-TEST_F(SpaceTimeAStarTest, TableHeuristicKeepsArrivalAndExpandsNoMore) {
-  // A wall forces a detour, which is exactly where Manhattan underestimates
-  // and the true-distance table stays exact.
-  for (std::int32_t i = 0; i < 7; ++i) matrix_.SetRack({i, 4}, true);
-  const GridCoord origin{0, 0};
-  const GridCoord destination{0, 7};
-  const HeuristicTable table(matrix_, destination);
-
-  SpaceTimeAStar manhattan(matrix_);
-  const auto route_m = manhattan.Plan(table_, 0, origin, destination, options_);
-  ASSERT_TRUE(route_m.has_value());
-
-  SpaceTimeAStarOptions guided = options_;
-  guided.heuristic = &table;
-  SpaceTimeAStar tabled(matrix_);
-  const auto route_t = tabled.Plan(table_, 0, origin, destination, guided);
-  ASSERT_TRUE(route_t.has_value());
-
-  EXPECT_EQ(route_m->end_time(), route_t->end_time());
-  EXPECT_LE(tabled.last_stats().expanded, manhattan.last_stats().expanded);
 }
 
 }  // namespace

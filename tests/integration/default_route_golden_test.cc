@@ -1,8 +1,9 @@
 // Golden default-route test: every backend, built through MakePlanner with
 // its defaults, plans one fixed-seed W-1 stream and must commit exactly
 // the routes recorded below. The constants pin the default path end to
-// end (collision kernel, open list, search engine, heuristic tables), so a
-// refactor that claims "routes unchanged" is checked, not assumed.
+// end (collision kernel, open list, search engine, weighted Manhattan
+// bound), so a refactor that claims "routes unchanged" is checked, not
+// assumed.
 //
 // The digest is order-independent (a sum of per-route hashes), so it pins
 // the committed multiset, not the commit bookkeeping.
@@ -86,17 +87,21 @@ TEST_P(DefaultRouteGoldenTest, MatchesRecordedRoutes) {
   }
   EXPECT_EQ(digest, golden.digest) << tag;
   EXPECT_EQ(total_cost, golden.total_cost) << tag;
+  // No default path builds distance tables: the frozen-ABI heuristic
+  // counters must read zero.
+  EXPECT_EQ(planner->stats().heuristic_bytes, 0u) << tag;
+  EXPECT_EQ(planner->stats().heuristic_misses, 0) << tag;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, DefaultRouteGoldenTest,
     ::testing::Values(
-        Golden{"SAP", 11866630002002030943ULL, 227989},
+        Golden{"SAP", 11001787390148023112ULL, 227989},
         Golden{"RP", 11001787390148023112ULL, 227989},
-        Golden{"TWP", 1182892420541327195ULL, 228111},
-        Golden{"ACP", 16306509331197693600ULL, 228040},
-        Golden{"SRP", 17412326357872515723ULL, 228286},
-        Golden{"SRP-noindex", 17412326357872515723ULL, 228286}),
+        Golden{"TWP", 6960769855112265647ULL, 228109},
+        Golden{"ACP", 2328675491854859994ULL, 228040},
+        Golden{"SRP", 2423642477536876040ULL, 228286},
+        Golden{"SRP-noindex", 2423642477536876040ULL, 228286}),
     [](const ::testing::TestParamInfo<Golden>& info) {
       std::string name = info.param.tag;
       for (char& c : name) {

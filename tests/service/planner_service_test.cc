@@ -191,34 +191,5 @@ TEST(PlannerServiceTest, ShardedAndSpeculativePipelinesAgreeOnGridBaseline) {
   }
 }
 
-TEST(PlannerServiceTest, HeuristicPrefetchNeverChangesTheArchive) {
-  // Submit-time prefetch (ISSUE 9 tentpole) warms tables on the service
-  // pool; it must be invisible in the results — identical request streams
-  // with prefetch on and off produce byte-identical archives.
-  const auto requests = MakeRequests(Tiny(), 32, /*spread=*/40, /*seed=*/13);
-
-  std::vector<core::Route> reference;
-  for (const bool prefetch : {false, true}) {
-    srp::SrpPlanner planner(Tiny().matrix);
-    ServiceOptions options;
-    options.threads = 2;
-    options.prefetch_heuristics = prefetch;
-    PlannerService svc(planner, options);
-    for (const auto& r : requests) svc.Submit(r);
-    svc.RunUntilDrained();
-
-    ASSERT_TRUE(core::ValidateRoutes(svc.archive()));
-    EXPECT_EQ(svc.metrics().planned + svc.metrics().failed, 32);
-    if (!prefetch) {
-      reference = svc.archive();
-      EXPECT_EQ(planner.stats().heuristic_prefetch_scheduled, 0);
-    } else {
-      EXPECT_EQ(svc.archive(), reference);
-      // Submit actually scheduled warm-ups on the pool.
-      EXPECT_GT(planner.stats().heuristic_prefetch_scheduled, 0);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace carp::service

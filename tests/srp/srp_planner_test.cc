@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
 #include "core/collision.h"
 #include "layout/layout_generator.h"
 #include "layout/presets.h"
@@ -259,64 +258,6 @@ TEST(SrpPlannerVariantsTest, IndexAndNaiveProduceIdenticalRoutes) {
       EXPECT_EQ(*ra, *rb);
     }
   }
-}
-
-TEST(SrpPrefetchTest, PrefetchTimingNeverChangesRoutes) {
-  // Determinism pin for DESIGN.md §2j: heuristic prefetch only moves *when*
-  // a table builds, never what it holds, so identical query streams with
-  // prefetch off, prefetch warmed, and prefetch racing the queries must
-  // leave bit-identical planner state.
-  layout::Warehouse warehouse =
-      layout::GenerateWarehouse(layout::PresetTiny());
-  workload::TaskGeneratorOptions topts;
-  topts.task_count = 60;
-  topts.day_length = 300;
-  topts.seed = 77;
-  const auto tasks = workload::GenerateTasks(
-      warehouse, workload::ArrivalProfile::Uniform(), topts);
-  const auto queries = workload::FlattenToQueries(warehouse, tasks);
-
-  SrpPlannerOptions options;
-  options.heuristic = core::HeuristicMode::kTable;
-
-  // Run 1: cold — no prefetch at all.
-  SrpPlanner cold(warehouse.matrix, options);
-  for (const auto& q : queries) {
-    cold.PlanRoute(q.emergence, q.origin, q.destination);
-  }
-
-  // Run 2: fully warmed — every destination prefetched and settled first.
-  SrpPlanner warm(warehouse.matrix, options);
-  {
-    ThreadPool pool(2);
-    for (const auto& q : queries) {
-      warm.PrefetchHeuristic(q.destination, &pool);
-    }
-    pool.WaitIdle();
-    for (const auto& q : queries) {
-      warm.PlanRoute(q.emergence, q.origin, q.destination);
-    }
-  }
-
-  // Run 3: raced — prefetches interleave with the queries, never awaited.
-  SrpPlanner raced(warehouse.matrix, options);
-  {
-    ThreadPool pool(2);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      raced.PrefetchHeuristic(queries[(i + 3) % queries.size()].destination,
-                              &pool);
-      raced.PlanRoute(queries[i].emergence, queries[i].origin,
-                      queries[i].destination);
-    }
-    pool.WaitIdle();
-  }
-
-  EXPECT_EQ(cold.StateFingerprint(), warm.StateFingerprint());
-  EXPECT_EQ(cold.StateFingerprint(), raced.StateFingerprint());
-  ASSERT_EQ(cold.committed_routes().size(), warm.committed_routes().size());
-  ASSERT_EQ(cold.committed_routes().size(), raced.committed_routes().size());
-  // The warmed run's tables were scheduled by the prefetcher.
-  EXPECT_GT(warm.stats().heuristic_prefetch_scheduled, 0);
 }
 
 TEST(SrpPlannerFallbackTest, FallbacksAreRare) {
