@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/table_writer.h"
-#include "core/search_engine.h"
 #include "flags.h"
 #include "sim/experiment_runner.h"
 #include "workload/scenario.h"
@@ -34,20 +33,12 @@ struct BenchOptions {
   /// single-day figures measure the accumulate-everything regime.
   bool retire = false;
 
-  /// Search engine of the grid-based planners (--engine=astar|sipp|auto;
-  /// auto = CARP_FORCE_ENGINE, then the time-expanded default). The
-  /// engines guarantee equal route costs, not identical routes
-  /// (DESIGN.md §2k). The SRP segment stores' survivor-scan kernel is not
-  /// a flag: CPUID picks it, and CARP_FORCE_KERNEL overrides it.
-  core::SearchEngine engine = core::SearchEngine::kAuto;
-
   static BenchOptions Parse(int argc, char** argv, double default_scale) {
     static constexpr const char* kUsage =
         "options: --scale=F --days=N --threads=N --algos=A,B,... "
-        "--engine=astar|sipp|auto (grid planners) --no-validate --retire\n"
+        "--no-validate --retire\n"
         "environment: CARP_FORCE_KERNEL=scalar|avx2 pins the SRP "
-        "survivor-scan kernel (default: cpuid), CARP_FORCE_ENGINE=astar|sipp "
-        "the grid search engine\n";
+        "survivor-scan kernel (default: cpuid)\n";
     BenchOptions o;
     o.scale = default_scale;
     for (int i = 1; i < argc; ++i) {
@@ -60,14 +51,6 @@ struct BenchOptions {
         o.threads = std::atoi(v);
       } else if (const char* v = FlagValue(arg, "--algos=")) {
         o.algorithms = SplitList(v);
-      } else if (const char* v = FlagValue(arg, "--engine=")) {
-        core::SearchEngine e;
-        if (!core::ParseSearchEngine(v, &e)) {
-          std::cerr << "unknown --engine value: " << v
-                    << " (expected astar|sipp|auto)\n";
-          std::exit(2);
-        }
-        o.engine = e;
       } else if (arg == "--no-validate") {
         o.validate = false;
       } else if (arg == "--retire") {
@@ -94,7 +77,6 @@ inline sim::ExperimentConfig MakeConfig(const std::string& scenario,
   config.simulator.validate = options.validate;
   config.simulator.threads = options.threads;
   config.simulator.retire_routes = options.retire;
-  config.simulator.engine = options.engine;
   return config;
 }
 
@@ -164,7 +146,7 @@ inline void PrintRunSummary(const std::vector<sim::RunMetrics>& runs,
                      "end MC(MiB)", "makespan(OG)", "failed", "fallbacks",
                      "speculated", "conflict-rate", "shard-cont%", "released",
                      "live", "blk-skip%", "kernel", "lane-surv%",
-                     "engine", "intervals", "collision-free"});
+                     "collision-free"});
   for (const auto& r : runs) {
     // The kernel column only means something for planners that batch
     // store scans (SRP); baselines show "-".
@@ -192,8 +174,6 @@ inline void PrintRunSummary(const std::vector<sim::RunMetrics>& runs,
                   lanes ? FormatDouble(
                               r.planner_stats.LaneUtilization() * 100, 1)
                         : "-",
-                  core::ToString(r.planner_stats.search_engine),
-                  std::to_string(r.planner_stats.intervals_built),
                   r.validated ? (r.collision_free ? "yes" : "NO") : "-"});
   }
   table.Print(os);
@@ -265,11 +245,6 @@ inline void WriteRunsJson(const std::string& path, const std::string& bench,
         << r.planner_stats.shard_lock_contentions
         << ", \"shard_commit_retries\": "
         << r.planner_stats.shard_commit_retries
-        << ", \"search_engine\": \""
-        << core::ToString(r.planner_stats.search_engine) << "\""
-        << ", \"intervals_built\": " << r.planner_stats.intervals_built
-        << ", \"interval_expansions\": "
-        << r.planner_stats.interval_expansions
         << ", \"buckets_erased\": " << r.planner_stats.buckets_erased
         << ", \"collision_free\": "
         << (r.validated ? (r.collision_free ? "true" : "false") : "null")

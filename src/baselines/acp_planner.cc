@@ -103,8 +103,7 @@ std::optional<core::Route> AcpPlanner::PlanRoute(TimeStep now,
   // Escalate: full space-time A*.
   auto route = engine_.Plan(reservations_, *start, origin, destination,
                             MakeSearchOptions());
-  TallyEngineSearch(stats_);
-  NoteSearchFootprint();
+  NoteEngineSearch();
   if (!route.has_value()) {
     ++stats_.failures;
     return std::nullopt;

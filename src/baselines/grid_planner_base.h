@@ -10,7 +10,6 @@
 #include "common/sharded_lock.h"
 #include "core/planner.h"
 #include "core/reservation_table.h"
-#include "core/sipp_astar.h"
 #include "core/spacetime_astar.h"
 #include "core/warehouse.h"
 
@@ -26,11 +25,6 @@ struct GridPlannerOptions {
 
   /// Maximum dispatch delay when the origin cell is occupied at query time.
   TimeStep max_dispatch_delay = 256;
-
-  /// Search engine (DESIGN.md §2k); kAuto resolves once at construction
-  /// (CARP_FORCE_ENGINE, then the time-expanded default). The engines
-  /// guarantee equal costs, not identical routes.
-  core::SearchEngine engine = core::SearchEngine::kAuto;
 };
 
 /// Shared machinery of the SAP/RP/TWP/ACP baselines: the warehouse, the
@@ -52,13 +46,13 @@ struct GridPlannerOptions {
 /// log (ids are never reused; log indices shift).
 class GridPlannerBase : public core::Planner {
  public:
-  /// Per-worker query scratch: a private engine pair (engines accumulate
+  /// Per-worker query scratch: a private engine (engines accumulate
   /// per-search stats and workspace, so they cannot be shared across
   /// threads).
   struct SearchContext final : core::Planner::QueryContext {
     explicit SearchContext(const core::WarehouseMatrix& matrix)
         : engine(matrix) {}
-    core::SearchEngineDriver engine;
+    core::SpaceTimeAStar engine;
     std::size_t peak_search_bytes = 0;
   };
 
@@ -68,7 +62,6 @@ class GridPlannerBase : public core::Planner {
     if (options_.horizon <= 0) {
       options_.horizon = 4 * (matrix.height() + matrix.width());
     }
-    options_.engine = core::ResolveSearchEngine(options_.engine);
   }
 
   bool SupportsSpeculation() const override { return true; }
@@ -92,8 +85,6 @@ class GridPlannerBase : public core::Planner {
                                  MakeSearchOptions());
     const auto& s = ctx.engine.last_stats();
     ctx.stats.expanded_nodes += s.expanded;
-    ctx.stats.intervals_built += s.intervals_built;
-    ctx.stats.interval_expansions += s.interval_expansions;
     ctx.peak_search_bytes = std::max(
         ctx.peak_search_bytes, s.peak_open_bytes + s.peak_closed_bytes);
     if (!route.has_value()) {
@@ -200,15 +191,13 @@ class GridPlannerBase : public core::Planner {
   const core::ReservationTable& reservations() const { return reservations_; }
 
   /// Committed-state counters plus a live overlay of the commit lock's
-  /// contention counters, the resolved engine and the reservation table's
-  /// erased-bucket count.
+  /// contention counters and the reservation table's erased-bucket count.
   const core::PlannerStats& stats() const override {
     stats_view_ = stats_;
     const ShardLockSet::Stats sl = commit_lock_.stats();
     stats_view_.shard_commits = sl.commits;
     stats_view_.shard_lock_contentions = sl.contentions;
     stats_view_.shard_commit_retries = sl.retries;
-    stats_view_.search_engine = options_.engine;  // resolved, never kAuto
     stats_view_.buckets_erased = reservations_.buckets_erased();
     return stats_view_;
   }
@@ -220,7 +209,6 @@ class GridPlannerBase : public core::Planner {
     core::SpaceTimeAStarOptions search;
     search.horizon = options_.horizon;
     search.max_expansions = options_.max_expansions;
-    search.engine = options_.engine;  // resolved at construction, never kAuto
     return search;
   }
 
@@ -277,21 +265,13 @@ class GridPlannerBase : public core::Planner {
     OnRouteErased(index);
   }
 
-  /// Folds the engine's last search footprint into the peak-MC tracker;
-  /// call after every engine_.Plan invocation.
-  void NoteSearchFootprint() {
+  /// Folds the engine's last search into the expansion counter and the
+  /// peak-MC tracker; serial planning paths call this after every
+  /// engine_.Plan invocation.
+  void NoteEngineSearch() {
     const auto& s = engine_.last_stats();
+    stats_.expanded_nodes += s.expanded;
     NoteExternalFootprint(s.peak_open_bytes + s.peak_closed_bytes);
-  }
-
-  /// Folds the engine's last search counters into `stats` (expansions plus
-  /// the interval-engine counters); serial planning paths call this after
-  /// every engine_.Plan invocation.
-  void TallyEngineSearch(core::PlannerStats& stats) const {
-    const auto& s = engine_.last_stats();
-    stats.expanded_nodes += s.expanded;
-    stats.intervals_built += s.intervals_built;
-    stats.interval_expansions += s.interval_expansions;
   }
 
   /// Folds an externally measured search footprint (e.g. CBS) into the
@@ -303,7 +283,7 @@ class GridPlannerBase : public core::Planner {
   const core::WarehouseMatrix& matrix_;
   GridPlannerOptions options_;
   core::ReservationTable reservations_;
-  core::SearchEngineDriver engine_;
+  core::SpaceTimeAStar engine_;
   std::size_t peak_search_bytes_ = 0;
 
   mutable core::PlannerStats stats_view_;

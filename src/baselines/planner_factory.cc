@@ -11,24 +11,11 @@ namespace carp::baselines {
 std::unique_ptr<core::Planner> MakePlanner(std::string_view algorithm,
                                            const core::WarehouseMatrix& matrix,
                                            const PlannerBuildOptions& build) {
-  if (algorithm == "SAP") {
-    GridPlannerOptions options;
-    options.engine = build.engine;
-    return std::make_unique<SapPlanner>(matrix, options);
-  }
-  if (algorithm == "RP") {
-    RpPlannerOptions options;
-    options.grid.engine = build.engine;
-    return std::make_unique<RpPlanner>(matrix, options);
-  }
-  if (algorithm == "TWP") {
-    TwpPlannerOptions options;
-    options.grid.engine = build.engine;
-    return std::make_unique<TwpPlanner>(matrix, options);
-  }
+  if (algorithm == "SAP") return std::make_unique<SapPlanner>(matrix);
+  if (algorithm == "RP") return std::make_unique<RpPlanner>(matrix);
+  if (algorithm == "TWP") return std::make_unique<TwpPlanner>(matrix);
   if (algorithm == "ACP") {
     AcpPlannerOptions options;
-    options.grid.engine = build.engine;
     if (build.acp_cache_budget_bytes != 0) {
       options.cache_budget_bytes = build.acp_cache_budget_bytes;
     }

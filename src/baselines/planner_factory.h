@@ -7,19 +7,12 @@
 #include <vector>
 
 #include "core/planner.h"
-#include "core/search_engine.h"
 #include "core/warehouse.h"
 
 namespace carp::baselines {
 
 /// Cross-cutting construction knobs shared by every algorithm tag.
 struct PlannerBuildOptions {
-  /// Search engine of the grid-based baselines (kAuto = CARP_FORCE_ENGINE,
-  /// then the time-expanded default). The engines guarantee equal route
-  /// costs, not identical routes (DESIGN.md §2k). Ignored by SRP, whose
-  /// only space-time search is its time-expanded A* fallback.
-  core::SearchEngine engine = core::SearchEngine::kAuto;
-
   /// Byte budget of ACP's OD path cache (LRU-evicted past the budget).
   /// Ignored by every other tag. 0 keeps the AcpPlannerOptions default.
   std::size_t acp_cache_budget_bytes = 0;

@@ -105,8 +105,7 @@ std::optional<core::Route> RpPlanner::PlanRoute(TimeStep now,
   // against all committed routes.
   auto route = engine_.Plan(reservations_, *start, origin, destination,
                             MakeSearchOptions());
-  TallyEngineSearch(stats_);
-  NoteSearchFootprint();
+  NoteEngineSearch();
   if (!route.has_value()) {
     ++stats_.failures;
     return std::nullopt;

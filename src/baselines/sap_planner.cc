@@ -14,8 +14,7 @@ std::optional<core::Route> SapPlanner::PlanRoute(TimeStep now,
 
   auto route = engine_.Plan(reservations_, *start, origin, destination,
                             MakeSearchOptions());
-  TallyEngineSearch(stats_);
-  NoteSearchFootprint();
+  NoteEngineSearch();
   if (!route.has_value()) {
     ++stats_.failures;
     return std::nullopt;

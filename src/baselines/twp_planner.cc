@@ -32,8 +32,7 @@ std::optional<core::Route> TwpPlanner::PlanRoute(TimeStep now,
     // it the full horizon but collision awareness only within the window.
     search.horizon = options_.horizon;
     auto partial = engine_.Plan(reservations_, t, cur, destination, search);
-    TallyEngineSearch(stats_);
-    NoteSearchFootprint();
+    NoteEngineSearch();
     if (!partial.has_value()) {
       ++stats_.failures;
       return std::nullopt;

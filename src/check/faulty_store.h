@@ -48,18 +48,6 @@ enum class StoreFault {
   /// sizes) can see it. This fault lives above any single store: it is
   /// exercised by FuzzShardAccounting, not by FaultySegmentStore.
   kCrossShardLeak,
-  /// Every free interval the safe-interval extractor derives has its upper
-  /// bound extended one step into the occupied slot that ends it — the
-  /// shape of "inclusive-vs-exclusive bound mix-up in interval extraction"
-  /// (DESIGN.md §2k): the interval engine believes a cell is free at the
-  /// exact timestep a reservation begins, so it books routes that are
-  /// cheaper than the time-expanded oracle's *and* collide. Like
-  /// kCrossShardLeak this lives above any single store: it is
-  /// injected via core::SafeIntervalMap::SetOverwideFaultForTest and
-  /// exercised by RunEngineFaultCalibration, which proves the engine
-  /// differential's cost-equality + collision audits catch it within the
-  /// seed budget.
-  kOverwideInterval,
 };
 
 /// A correct store with one injected bug, for proving the differential

@@ -10,11 +10,6 @@
 #include "common/rng.h"
 #include "core/batch_planner.h"
 #include "core/collision.h"
-#include "core/reservation_table.h"
-#include "core/safe_intervals.h"
-#include "core/search_engine.h"
-#include "core/sipp_astar.h"
-#include "core/spacetime_astar.h"
 #include "layout/layout_generator.h"
 #include "layout/presets.h"
 #include "sim/simulator.h"
@@ -261,152 +256,6 @@ PlannerDiffResult RunPlannerDifferential(const PlannerDiffOptions& opt) {
     }
   }
 
-  // ---- 4) Engine differential (DESIGN.md §2k): a grid backend rebuilt
-  // under the safe-interval engine must answer every query with a route of
-  // exactly the cost the time-expanded build returns over identical
-  // committed state — cost equality, never route identity (the interval
-  // engine places waits wherever the collapsed expansion lands them) — and
-  // each interval answer must be collision-free against the state it was
-  // planned over (cost equality alone would also be satisfied by a cheaper
-  // *colliding* route). States stay identical by always committing the
-  // time-expanded planner's route into both. SRP takes no engine (its only
-  // space-time search is the time-expanded fallback), so it sits out.
-  for (const std::string& backend : Backends()) {
-    if (backend == "SRP" || backend == "SRP-noindex") continue;
-    const auto queries = MakeQueries(warehouse, 24, opt.seed + 5);
-    baselines::PlannerBuildOptions astar_build;
-    astar_build.engine = core::SearchEngine::kAstar;
-    baselines::PlannerBuildOptions sipp_build = astar_build;
-    sipp_build.engine = core::SearchEngine::kSipp;
-    auto astar = baselines::MakePlanner(backend, warehouse.matrix, astar_build);
-    auto sipp = baselines::MakePlanner(backend, warehouse.matrix, sipp_build);
-    auto astar_context = astar->MakeQueryContext();
-    auto sipp_context = sipp->MakeQueryContext();
-    if (astar_context == nullptr || sipp_context == nullptr) {
-      return fail(backend + " lost its speculation support");
-    }
-    TimeStep now = 0;
-    for (const auto& q : queries) {
-      const auto planned =
-          astar->QueryRoute(*astar_context, now, q.origin, q.destination);
-      const auto mirrored =
-          sipp->QueryRoute(*sipp_context, now, q.origin, q.destination);
-      if (planned.has_value() != mirrored.has_value()) {
-        std::ostringstream what;
-        what << backend << " engine cross-check: time-expanded "
-             << (planned ? "found" : "missed") << " a route " << q.origin
-             << " -> " << q.destination << " at t=" << now
-             << " but the interval engine "
-             << (mirrored ? "found one" : "did not");
-        return fail(what.str());
-      }
-      if (planned && mirrored &&
-          planned->end_time() != mirrored->end_time()) {
-        std::ostringstream what;
-        what << backend << " engine cross-check: route costs diverged for "
-             << q.origin << " -> " << q.destination << " at t=" << now
-             << ": time-expanded ends " << planned->end_time()
-             << ", interval ends " << mirrored->end_time();
-        return fail(what.str());
-      }
-      if (mirrored) {
-        std::vector<core::Route> probe = astar->committed_routes();
-        probe.push_back(*mirrored);
-        if (!core::ValidateRoutes(probe)) {
-          std::ostringstream what;
-          what << backend << " engine cross-check: interval route collides, "
-               << q.origin << " -> " << q.destination << " at t=" << now;
-          return fail(what.str());
-        }
-      }
-      if (planned) {
-        astar->CommitRoute(*planned);
-        sipp->CommitRoute(*planned);
-      }
-      now += 3;  // stagger starts so reservations overlap in time
-    }
-    if (!core::ValidateRoutes(astar->committed_routes())) {
-      return fail(backend +
-                  " engine cross-check: time-expanded route set is NOT "
-                  "collision-free");
-    }
-  }
-
-  return result;
-}
-
-EngineFaultResult RunEngineFaultCalibration(int max_seeds) {
-  EngineFaultResult result;
-  const layout::Warehouse warehouse =
-      layout::GenerateWarehouse(layout::PresetByName("tiny"));
-  const core::WarehouseMatrix& matrix = warehouse.matrix;
-
-  core::SpaceTimeAStarOptions opts;
-  opts.horizon = 4 * (matrix.height() + matrix.width());
-
-  for (std::uint64_t seed = 1;
-       seed <= static_cast<std::uint64_t>(max_seeds); ++seed) {
-    ++result.seeds_tried;
-    Rng rng(seed);
-    const GridCoord origin = warehouse.pickers[rng.UniformU32(
-        static_cast<std::uint32_t>(warehouse.pickers.size()))];
-    const GridCoord destination = warehouse.rack_access[rng.UniformU32(
-        static_cast<std::uint32_t>(warehouse.rack_access.size()))];
-    if (origin == destination) continue;
-
-    core::SpaceTimeAStar astar(matrix);
-    core::SippAStar sipp(matrix);
-
-    // The unobstructed optimal arrival d — then park a robot on the
-    // destination over exactly [d, d + 40]. The destination's first free
-    // interval now ends at d - 1, and that bound is load-bearing: the
-    // clean engines must wait out the dwell, while the overwide fault
-    // widens the interval to include d itself — an arrival that is both
-    // cheaper than the oracle's answer and a collision with the dweller.
-    core::ReservationTable table;
-    const auto unobstructed = astar.Plan(table, 0, origin, destination, opts);
-    if (!unobstructed.has_value()) continue;
-    const TimeStep d = unobstructed->end_time();
-    if (d <= 0) continue;
-    std::vector<core::Route> committed;
-    committed.emplace_back(d, std::vector<GridCoord>(41, destination));
-    table.Reserve(0, committed.back());
-
-    const auto by_astar = astar.Plan(table, 0, origin, destination, opts);
-    const auto clean = sipp.Plan(table, 0, origin, destination, opts);
-    if (!by_astar.has_value() || !clean.has_value() ||
-        by_astar->end_time() != clean->end_time()) {
-      result.detail = "clean control diverged — harness bug, not detection";
-      return result;
-    }
-
-    core::SafeIntervalMap::SetOverwideFaultForTest(true);
-    const auto faulty = sipp.Plan(table, 0, origin, destination, opts);
-    core::SafeIntervalMap::SetOverwideFaultForTest(false);
-
-    bool collides = false;
-    if (faulty.has_value()) {
-      std::vector<core::Route> probe = committed;
-      probe.push_back(*faulty);
-      collides = !core::ValidateRoutes(probe);
-    }
-    if (!faulty.has_value() || faulty->end_time() != by_astar->end_time() ||
-        collides) {
-      result.detected = true;
-      result.detected_seed = seed;
-      std::ostringstream out;
-      out << "seed " << seed << ": overwide interval steered " << origin
-          << " -> " << destination << " to cost "
-          << (faulty.has_value()
-                  ? faulty->end_time() - faulty->start_time()
-                  : static_cast<TimeStep>(-1))
-          << " vs oracle " << by_astar->end_time() - by_astar->start_time()
-          << (collides ? " (and the route collides)" : "");
-      result.detail = out.str();
-      return result;
-    }
-  }
-  result.detail = "no scenario tripped the cost/collision audit within budget";
   return result;
 }
 

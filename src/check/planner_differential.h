@@ -25,29 +25,6 @@ struct PlannerDiffResult {
   std::string error;
 };
 
-/// Result of the kOverwideInterval calibration (see
-/// RunEngineFaultCalibration).
-struct EngineFaultResult {
-  bool detected = false;   // the engine differential flagged the fault
-  int seeds_tried = 0;     // scenarios attempted before detection (or budget)
-  std::uint64_t detected_seed = 0;  // the seed that tripped the audit
-  std::string detail;      // human-readable account of the detection/failure
-};
-
-/// Proves the detection power of the engine differential's cost-equality
-/// and collision audits against StoreFault::kOverwideInterval: for each
-/// seed a robot dwells on the query's destination over exactly the window
-/// [d, d + 40], where d is the query's unobstructed optimal arrival — so
-/// the destination's first free interval ends one step before the dwell
-/// and that boundary is load-bearing. The clean interval engine must agree
-/// with the time-expanded oracle (the control: both wait out the dwell);
-/// with the fault injected (SafeIntervalMap::SetOverwideFaultForTest) the
-/// widened interval admits arrival at `d` itself, which is both cheaper
-/// than the oracle's answer and a collision — either audit firing counts
-/// as detection. Returns detected=false only if `max_seeds` scenarios all
-/// fail to produce a mismatch.
-EngineFaultResult RunEngineFaultCalibration(int max_seeds);
-
 /// Drives every planning backend ("SAP", "RP", "TWP", "ACP", "SRP",
 /// "SRP-noindex") through the same random scenario and cross-checks:
 ///
@@ -65,14 +42,7 @@ EngineFaultResult RunEngineFaultCalibration(int max_seeds);
 ///    sharded pipeline must commit exactly the speculative pipeline's
 ///    route set (and, for exact-speculation backends — SAP and the SRP
 ///    variants — the serial loop's), with clean shard/store invariants
-///    and every accepted route routed through the shard locks;
-///  * engine equivalence (DESIGN.md §2k) — every grid backend rebuilt with
-///    the time-expanded and with the safe-interval search engine must
-///    answer each query of a shared stream with routes of exactly equal
-///    cost over identical committed state (routes may differ — the
-///    interval engine places waits wherever the collapsed expansion lands
-///    them), and every interval-engine answer must be collision-free
-///    against the state it was planned over.
+///    and every accepted route routed through the shard locks.
 ///
 /// Stops at the first violation and reports the scenario knobs that
 /// reproduce it.

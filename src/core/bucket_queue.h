@@ -18,7 +18,7 @@ namespace carp::core {
 /// O(log n) comparisons per operation.
 ///
 /// Ordering contract: items pop in ascending `f`; ties in ascending `h`;
-/// ties in FIFO push order. The space-time engines push `h = f - g`
+/// ties in FIFO push order. Space-time A* pushes `h = f - g`
 /// (min f, then deepest g, then oldest); SRP's strip searches push
 /// `h = 0` (min f, then oldest).
 ///

@@ -70,20 +70,12 @@ struct PlannerStats {
   /// Survivor-scan kernel the segment stores resolved to — a label, not a
   /// counter (untouched by Merge; the owning planner overlays it).
   CollisionKernel collision_kernel = CollisionKernel::kScalar;
-  /// Search engine the planner resolved to (DESIGN.md §2k) — a label like
-  /// collision_kernel (untouched by Merge; the owning planner overlays it).
-  /// SRP always reports kAstar: its only space-time search is the
-  /// time-expanded fallback.
+  // Always astar (see core/search_engine.h); deleted with the next
+  // benchmark change.
   SearchEngine search_engine = SearchEngine::kAstar;
-  // Safe-interval engine (DESIGN.md §2k): free intervals derived during
-  // interval extraction and (cell, interval) node expansions. Zero under
-  // the time-expanded engine, whose expansions count (cell, t) nodes.
-  std::int64_t intervals_built = 0;
-  std::int64_t interval_expansions = 0;
   /// Time buckets the collision state physically erased (emptied by
-  /// release or dropped by prune) — buckets the safe-interval sweep never
-  /// has to iterate. Overlaid by the owning planner from its live
-  /// structures (untouched by Merge).
+  /// release or dropped by prune). Overlaid by the owning planner from its
+  /// live structures (untouched by Merge).
   std::int64_t buckets_erased = 0;
 
   /// Fraction of speculative routes invalidated by an earlier commit —
@@ -105,8 +97,6 @@ struct PlannerStats {
     cache_hits += other.cache_hits;
     static_path_hits += other.static_path_hits;
     expanded_nodes += other.expanded_nodes;
-    intervals_built += other.intervals_built;
-    interval_expansions += other.interval_expansions;
     speculative_routes += other.speculative_routes;
     speculative_invalidated += other.speculative_invalidated;
     routes_released += other.routes_released;

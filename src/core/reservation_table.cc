@@ -53,20 +53,6 @@ std::size_t ReservationTable::PruneBefore(TimeStep t) {
   return dropped;
 }
 
-void ReservationTable::ForEachReservedInWindow(
-    TimeStep from, TimeStep to,
-    const std::function<void(GridCoord, TimeStep, RouteId)>& fn) const {
-  for (const auto& [t, cells] : buckets_) {
-    if (t < from || t >= to) continue;
-    for (const auto& [key, id] : cells) {
-      const GridCoord cell{
-          static_cast<std::int32_t>(key >> 32),
-          static_cast<std::int32_t>(key & 0xffffffffULL)};
-      fn(cell, t, id);
-    }
-  }
-}
-
 std::optional<RouteId> ReservationTable::OccupantAt(GridCoord cell,
                                                     TimeStep t) const {
   auto bucket = buckets_.find(t);

@@ -2,7 +2,6 @@
 #define CARP_CORE_RESERVATION_TABLE_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -49,18 +48,8 @@ class ReservationTable final : public SpaceTimeOracle {
   /// future query probes times < t.
   std::size_t PruneBefore(TimeStep t);
 
-  /// Calls `fn(cell, t, id)` for every reservation with from <= t < to.
-  /// One pass over the time buckets — this is what the safe-interval
-  /// extractor (core/safe_intervals.h) sweeps per search, and why empty
-  /// buckets must never linger: each bucket in the window is visited even
-  /// when the caller's cells don't intersect it.
-  void ForEachReservedInWindow(
-      TimeStep from, TimeStep to,
-      const std::function<void(GridCoord, TimeStep, RouteId)>& fn) const;
-
   /// Buckets physically erased so far: emptied by Release or dropped
-  /// wholesale by PruneBefore. Observability for the interval walk above —
-  /// a bucket erased is a bucket the sweep never iterates for nothing.
+  /// wholesale by PruneBefore.
   std::int64_t buckets_erased() const { return buckets_erased_; }
 
   /// Route occupying `cell` at time `t`, if any.

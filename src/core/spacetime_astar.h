@@ -7,7 +7,6 @@
 
 #include "common/types.h"
 #include "core/bucket_queue.h"
-#include "core/search_engine.h"
 #include "core/spacetime_key.h"
 #include "core/spacetime_oracle.h"
 #include "core/route.h"
@@ -30,26 +29,14 @@ struct SpaceTimeAStarOptions {
 
   /// Permit origin/destination on rack cells (entered as endpoint only).
   bool allow_endpoint_racks = false;
-
-  /// Which engine answers the query when planning against a concrete
-  /// ReservationTable (SearchEngineDriver dispatch — DESIGN.md §2k).
-  /// kAuto resolves via ResolveSearchEngine (CARP_FORCE_ENGINE, then the
-  /// time-expanded default); planners resolve once at construction. The
-  /// engines return equal-cost routes, not identical routes.
-  SearchEngine engine = SearchEngine::kAuto;
 };
 
-/// Statistics of the last search, for benchmarks and MC accounting. The
-/// interval counters stay zero on the time-expanded engine; the SIPP
-/// engine fills all of them (its `expanded` equals `interval_expansions`,
-/// so expansion totals stay comparable across engines).
+/// Statistics of the last search, for benchmarks and MC accounting.
 struct SpaceTimeAStarStats {
   std::int64_t expanded = 0;
   std::int64_t generated = 0;
   std::size_t peak_open_bytes = 0;
   std::size_t peak_closed_bytes = 0;
-  std::int64_t intervals_built = 0;
-  std::int64_t interval_expansions = 0;
 };
 
 namespace internal_astar {

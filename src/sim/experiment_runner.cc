@@ -29,10 +29,7 @@ std::vector<RunMetrics> RunExperiment(const ExperimentConfig& config) {
         warehouse, workload::ArrivalProfile::DoubleSurge(), task_opts);
 
     for (const std::string& algorithm : config.algorithms) {
-      baselines::PlannerBuildOptions build;
-      build.engine = config.simulator.engine;
-      auto planner =
-          baselines::MakePlanner(algorithm, warehouse.matrix, build);
+      auto planner = baselines::MakePlanner(algorithm, warehouse.matrix);
       CARP_CHECK(planner != nullptr) << "unknown algorithm " << algorithm;
 
       Simulator sim(warehouse, *planner, config.simulator);

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/planner.h"
-#include "core/search_engine.h"
 #include "layout/layout_generator.h"
 #include "sim/assignment.h"
 #include "sim/event_trace.h"
@@ -54,13 +53,6 @@ struct SimulatorOptions {
   /// reservations around long enough that in-flight dispatch decisions at
   /// `now` never race the sweep (retire_routes only).
   TimeStep prune_slack = 64;
-
-  /// Search engine requested for the grid-based planners (kAuto =
-  /// CARP_FORCE_ENGINE, then the time-expanded default). It reaches the
-  /// planner through baselines::PlannerBuildOptions. The
-  /// engines guarantee equal route costs, not identical routes
-  /// (DESIGN.md §2k).
-  core::SearchEngine engine = core::SearchEngine::kAuto;
 
   /// Optional structured event sink (not owned); nullptr disables tracing.
   EventTrace* trace = nullptr;

@@ -1,7 +1,7 @@
 // Golden default-route test: every backend, built through MakePlanner with
 // its defaults, plans one fixed-seed W-1 stream and must commit exactly
 // the routes recorded below. The constants pin the default path end to
-// end (collision kernel, open list, search engine, weighted Manhattan
+// end (collision kernel, open list, space-time A*, weighted Manhattan
 // bound), so a refactor that claims "routes unchanged" is checked, not
 // assumed.
 //
@@ -9,7 +9,6 @@
 // the committed multiset, not the commit bookkeeping.
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -54,13 +53,6 @@ class DefaultRouteGoldenTest : public ::testing::TestWithParam<Golden> {};
 TEST_P(DefaultRouteGoldenTest, MatchesRecordedRoutes) {
   const Golden& golden = GetParam();
   const std::string tag = golden.tag;
-  const bool grid = tag != "SRP" && tag != "SRP-noindex";
-  const char* forced = std::getenv("CARP_FORCE_ENGINE");
-  if (grid && forced != nullptr && forced[0] != '\0') {
-    GTEST_SKIP() << "CARP_FORCE_ENGINE is set: engines promise equal cost "
-                    "per query, not identical routes";
-  }
-
   const layout::Warehouse warehouse =
       layout::GenerateWarehouse(layout::PresetW1());
   workload::TaskGeneratorOptions topts;
