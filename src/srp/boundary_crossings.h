@@ -1,11 +1,14 @@
 #ifndef CARP_SRP_BOUNDARY_CROSSINGS_H_
 #define CARP_SRP_BOUNDARY_CROSSINGS_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
+#include "common/logging.h"
 #include "common/memory_accounting.h"
 #include "common/types.h"
 
@@ -25,51 +28,72 @@ namespace carp::srp {
 /// later conflict may both commit the same crossing, and releasing the
 /// loser must not delete the winner's swap protection, so each key carries
 /// a multiplicity instead of set membership.
+///
+/// Storage is one flat open-addressing table of (64-bit key, count) slots:
+/// linear probing over a power-of-two capacity, load factor at most 1/2,
+/// doubling on growth, and backward-shift deletion, so a probe run never
+/// holds a tombstone.
 class BoundaryCrossings {
  public:
-  /// Records a crossing that departs `from` at time `t` and arrives at `to`
-  /// at `t + 1`.
+  /// Records a crossing that departs `from` at time `t` and arrives at the
+  /// 4-adjacent cell `to` at `t + 1`.
   void Insert(GridCoord from, GridCoord to, TimeStep t) {
-    ++crossings_[Key(from, to, t)];
+    const std::uint64_t key = Key(from, to, t);
+    if ((size_ + 1) * 2 > slots_.size()) {
+      Rehash(std::max(kMinCapacity, slots_.size() * 2));
+    }
+    Slot& slot = slots_[SlotOf(key)];
+    if (slot.key == kEmpty) {
+      slot.key = key;
+      ++size_;
+    }
+    ++slot.count;
     ++total_;
   }
 
   /// Removes one recorded copy of a crossing (route release / speculative
   /// rollback); no-op if absent.
   void Remove(GridCoord from, GridCoord to, TimeStep t) {
-    auto it = crossings_.find(Key(from, to, t));
-    if (it == crossings_.end()) return;
+    const std::uint64_t key = Key(from, to, t);
+    if (size_ == 0) return;
+    const std::size_t i = SlotOf(key);
+    if (slots_[i].key == kEmpty) return;
     --total_;
-    if (--it->second <= 0) crossings_.erase(it);
+    if (--slots_[i].count == 0) EraseAt(i);
   }
 
   /// Drops every crossing that departs strictly before `t`; returns how
   /// many keys were dropped. Callers guarantee no future query probes
-  /// crossings earlier than `t`.
+  /// crossings earlier than `t`. One pass rebuilds the survivors into a
+  /// fresh table of the same capacity.
   std::size_t PruneBefore(TimeStep t) {
+    std::vector<Slot> old(slots_.size());
+    old.swap(slots_);
     std::size_t dropped = 0;
-    for (auto it = crossings_.begin(); it != crossings_.end();) {
-      if (static_cast<TimeStep>(it->first.lo) < t) {
-        total_ -= it->second;
-        it = crossings_.erase(it);
+    for (const Slot& slot : old) {
+      if (slot.key == kEmpty) continue;
+      if (TimeOf(slot.key) < t) {
+        total_ -= slot.count;
         ++dropped;
       } else {
-        ++it;
+        slots_[SlotOf(slot.key)] = slot;
       }
     }
+    size_ -= dropped;
     return dropped;
   }
 
   /// True when some committed route crosses `to` -> `from` departing at
   /// `t`, i.e. the proposed `from` -> `to` move at `t` would swap.
   bool WouldSwap(GridCoord from, GridCoord to, TimeStep t) const {
-    return crossings_.contains(Key(to, from, t));
+    const std::uint64_t key = Key(to, from, t);
+    return size_ != 0 && slots_[SlotOf(key)].key == key;
   }
 
   /// Recorded multiplicity of the crossing `from` -> `to` at `t`.
   std::int64_t CountOf(GridCoord from, GridCoord to, TimeStep t) const {
-    auto it = crossings_.find(Key(from, to, t));
-    return it == crossings_.end() ? 0 : it->second;
+    const std::uint64_t key = Key(from, to, t);
+    return size_ == 0 ? 0 : slots_[SlotOf(key)].count;
   }
 
   /// Total recorded crossings, multiplicity included (so releasing every
@@ -77,45 +101,87 @@ class BoundaryCrossings {
   /// handle on the registry).
   std::int64_t TotalCount() const { return total_; }
 
-  std::size_t size() const { return crossings_.size(); }
-  std::size_t RetainedBytes() const { return mem::BytesOf(crossings_); }
+  /// Distinct recorded crossings.
+  std::size_t size() const { return size_; }
+
+  /// Every slot of the table, occupied or not: capacity x 16 bytes (0
+  /// until the first insert).
+  std::size_t RetainedBytes() const { return mem::BytesOf(slots_); }
 
   /// Order-independent digest of the recorded (crossing, multiplicity)
   /// content — the registry's contribution to Planner::StateFingerprint.
-  /// Summing per-entry hashes makes the digest independent of hash-map
-  /// iteration order, so two registries holding the same multiset hash
-  /// identically regardless of insertion history.
+  /// Summing per-entry hashes makes the digest independent of slot
+  /// placement, so two registries holding the same multiset hash
+  /// identically regardless of insertion history or capacity.
   std::uint64_t ContentHash() const {
     std::uint64_t digest = 0;
-    for (const auto& [key, count] : crossings_) {
-      std::uint64_t x = key.hi * 0x9e3779b97f4a7c15ULL ^ key.lo;
+    for (const Slot& slot : slots_) {
+      if (slot.key == kEmpty) continue;
+      std::uint64_t x = slot.key * 0x9e3779b97f4a7c15ULL;
       x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      x ^= static_cast<std::uint64_t>(count) * 0xd6e8feb86659fd93ULL;
+      x ^= static_cast<std::uint64_t>(slot.count) * 0xd6e8feb86659fd93ULL;
       x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
       digest += x ^ (x >> 31);
     }
     return digest;
   }
+
+  /// Forgets every crossing; keeps the table's capacity.
   void Clear() {
-    crossings_.clear();
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    size_ = 0;
     total_ = 0;
   }
 
-  /// Structural audit: every key carries a positive multiplicity and the
-  /// multiplicities sum to `total_`. Empty string = pass.
+  /// Structural audit: the capacity is 0 or a power of two holding at most
+  /// half occupied slots, every occupied slot carries a positive
+  /// multiplicity and is the first match its own probe reaches (so no key
+  /// is duplicated or cut off from its home slot by an empty slot), empty
+  /// slots carry no count, and the multiplicities sum to `total_`. Empty
+  /// string = pass.
   std::string CheckInvariants() const {
+    std::ostringstream err;
+    const std::size_t capacity = slots_.size();
+    if (capacity != 0 &&
+        (capacity < kMinCapacity || !std::has_single_bit(capacity) ||
+         shift_ != 64 - std::countr_zero(capacity))) {
+      err << "BoundaryCrossings: capacity " << capacity
+          << " is not a power of two >= " << kMinCapacity
+          << " matching hash shift " << shift_;
+      return err.str();
+    }
+    std::size_t occupied = 0;
     std::int64_t sum = 0;
-    for (const auto& [key, count] : crossings_) {
-      if (count <= 0) {
-        std::ostringstream err;
-        err << "BoundaryCrossings: key at t=" << key.lo
-            << " has non-positive multiplicity " << count;
+    for (std::size_t i = 0; i < capacity; ++i) {
+      const Slot& slot = slots_[i];
+      if (slot.key == kEmpty) {
+        if (slot.count != 0) {
+          err << "BoundaryCrossings: empty slot " << i << " holds count "
+              << slot.count;
+          return err.str();
+        }
+        continue;
+      }
+      if (slot.count <= 0) {
+        err << "BoundaryCrossings: key at t=" << TimeOf(slot.key)
+            << " has non-positive multiplicity " << slot.count;
         return err.str();
       }
-      sum += count;
+      if (SlotOf(slot.key) != i) {
+        err << "BoundaryCrossings: key at t=" << TimeOf(slot.key)
+            << " in slot " << i << " is not reachable from its home slot "
+            << Home(slot.key);
+        return err.str();
+      }
+      ++occupied;
+      sum += slot.count;
+    }
+    if (occupied != size_ || 2 * size_ > capacity) {
+      err << "BoundaryCrossings: " << occupied << " occupied slots, size "
+          << size_ << ", capacity " << capacity;
+      return err.str();
     }
     if (sum != total_) {
-      std::ostringstream err;
       err << "BoundaryCrossings: multiplicities sum to " << sum
           << " but total counter says " << total_;
       return err.str();
@@ -124,38 +190,96 @@ class BoundaryCrossings {
   }
 
  private:
-  // 14 bits per row/col (two cells are 4-adjacent, so encoding the second
-  // cell as a 3-bit delta direction would also work; full packing keeps the
-  // code obvious), 33 bits of time — within one 128-bit pair.
-  struct PackedCrossing {
-    std::uint64_t hi;
-    std::uint64_t lo;
-    friend bool operator==(const PackedCrossing&,
-                           const PackedCrossing&) = default;
-  };
-  struct PackedHash {
-    std::size_t operator()(const PackedCrossing& k) const noexcept {
-      std::uint64_t x = k.hi * 0x9e3779b97f4a7c15ULL ^ k.lo;
-      x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-      return static_cast<std::size_t>(x ^ (x >> 31));
-    }
+  // Key layout, most significant bit first:
+  //   [63:49] departure row (15 bits)   [48:34] departure column (15 bits)
+  //   [33:32] direction to the 4-adjacent arrival cell (2 bits)
+  //   [31:0]  departure time (32 bits)
+  // Cells lie in [0, 2^15) and times in [0, 2^32 - 1), so no crossing
+  // encodes to the all-ones empty-slot sentinel and distinct crossings
+  // never alias.
+  static constexpr int kCoordBits = 15;
+  static constexpr int kTimeBits = 32;
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  static constexpr std::size_t kMinCapacity = 16;
+
+  struct Slot {
+    std::uint64_t key = kEmpty;
+    std::int32_t count = 0;
   };
 
-  static PackedCrossing Key(GridCoord from, GridCoord to, TimeStep t) {
-    const std::uint64_t cells =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from.row))
-         << 48) |
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from.col))
-         << 32) |
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(to.row))
-         << 16) |
-        static_cast<std::uint64_t>(static_cast<std::uint32_t>(to.col));
-    return PackedCrossing{cells, static_cast<std::uint64_t>(t)};
+  static bool InRange(GridCoord g) {
+    return static_cast<std::uint32_t>(g.row) < (1u << kCoordBits) &&
+           static_cast<std::uint32_t>(g.col) < (1u << kCoordBits);
   }
 
-  // Key -> number of committed routes using this crossing.
-  std::unordered_map<PackedCrossing, std::int32_t, PackedHash> crossings_;
+  static std::uint64_t Key(GridCoord from, GridCoord to, TimeStep t) {
+    CARP_CHECK(InRange(from) && InRange(to))
+        << "crossing " << from << "->" << to << " outside [0, 2^15)";
+    const std::int32_t dr = to.row - from.row;
+    const std::int32_t dc = to.col - from.col;
+    CARP_CHECK(dr * dr + dc * dc == 1)
+        << "crossing " << from << "->" << to << " is not 4-adjacent";
+    CARP_CHECK(t >= 0 && t < (TimeStep{1} << kTimeBits) - 1)
+        << "crossing time " << t << " outside [0, 2^32 - 1)";
+    // 0: col - 1, 1: col + 1, 2: row - 1, 3: row + 1.
+    const std::uint64_t dir = (dr != 0 ? 2u : 0u) | (dr + dc > 0 ? 1u : 0u);
+    return (static_cast<std::uint64_t>(from.row) << (kTimeBits + 2 +
+                                                     kCoordBits)) |
+           (static_cast<std::uint64_t>(from.col) << (kTimeBits + 2)) |
+           (dir << kTimeBits) | static_cast<std::uint64_t>(t);
+  }
+
+  static TimeStep TimeOf(std::uint64_t key) {
+    return static_cast<TimeStep>(key & ((std::uint64_t{1} << kTimeBits) - 1));
+  }
+
+  // Fibonacci hashing of the key with its cell half folded onto its time
+  // half; the top log2(capacity) bits of the product pick the home slot.
+  std::size_t Home(std::uint64_t key) const {
+    return static_cast<std::size_t>(((key ^ (key >> 32)) *
+                                     0x9e3779b97f4a7c15ULL) >>
+                                    shift_);
+  }
+
+  // Slot holding `key`, or the empty slot that ends its probe run.
+  // Requires a non-empty table (load <= 1/2 guarantees an empty slot).
+  std::size_t SlotOf(std::uint64_t key) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = Home(key);
+    while (slots_[i].key != key && slots_[i].key != kEmpty) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
+  // Backward-shift deletion: pulls each later slot of the run whose home
+  // lies cyclically at or before the hole into it, then empties the last
+  // hole.
+  void EraseAt(std::size_t hole) {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = (hole + 1) & mask; slots_[i].key != kEmpty;
+         i = (i + 1) & mask) {
+      if (((i - Home(slots_[i].key)) & mask) >= ((i - hole) & mask)) {
+        slots_[hole] = slots_[i];
+        hole = i;
+      }
+    }
+    slots_[hole] = Slot{};
+    --size_;
+  }
+
+  void Rehash(std::size_t capacity) {
+    std::vector<Slot> old(capacity);
+    old.swap(slots_);
+    shift_ = 64 - std::countr_zero(capacity);
+    for (const Slot& slot : old) {
+      if (slot.key != kEmpty) slots_[SlotOf(slot.key)] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  int shift_ = 64;  // 64 - log2(capacity)
+  std::size_t size_ = 0;
   std::int64_t total_ = 0;
 };
 

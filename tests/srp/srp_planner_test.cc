@@ -1,6 +1,7 @@
 #include "srp/srp_planner.h"
 
 #include <ostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -279,6 +280,56 @@ TEST(SrpPlannerFallbackTest, FallbacksAreRare) {
   EXPECT_TRUE(
       RouteSetValidator::IsCollisionFree(planner.committed_routes()));
 }
+
+// A committed route crosses a -> b between strips at t = 0; a query from
+// b to a at t = 0 would naturally take b -> a at the same step, a swap no
+// segment store can see (a and b lie in different strips). Both the
+// inter-strip search (CrossingTime) and the A* fallback (SegmentOracle)
+// must consult the crossing registry and detour instead.
+class SrpCrossStripSwapTest : public ::testing::TestWithParam<bool> {
+ protected:
+  // Row 0 and row 3 are latitudinal strips; columns 1 and 3 are
+  // longitudinal aisle strips joining them.
+  const core::WarehouseMatrix matrix_ = core::WarehouseMatrix::FromAscii(
+      ".....\n"
+      "#.#.#\n"
+      "#.#.#\n"
+      ".....\n");
+  const GridCoord a_{0, 1};
+  const GridCoord b_{1, 1};
+  const core::Route committed_{0, {a_, b_, {2, 1}, {3, 1}, {3, 0}}};
+};
+
+TEST_P(SrpCrossStripSwapTest, RefusesOppositeCrossingAtSameStep) {
+  const bool force_fallback = GetParam();
+  SrpPlannerOptions options;
+  // No strip may be settled: every query escalates to the A* fallback.
+  if (force_fallback) options.max_strip_expansions = 0;
+  SrpPlanner planner(matrix_, options);
+  ASSERT_NE(planner.strip_graph().StripOf(a_),
+            planner.strip_graph().StripOf(b_));
+  planner.CommitRoute(committed_);
+
+  // The natural earliest route is the swap, which the validator rejects.
+  const core::Route swap(0, {b_, a_});
+  ASSERT_FALSE(RouteSetValidator::IsCollisionFree({committed_, swap}));
+
+  auto route = planner.PlanRoute(0, b_, a_);
+  ASSERT_TRUE(route.has_value());
+  EXPECT_EQ(planner.stats().fallbacks, force_fallback ? 1 : 0);
+  EXPECT_EQ(route->start_time(), 0);
+  EXPECT_EQ(route->destination(), a_);
+  EXPECT_NE(route->At(1), a_);
+  EXPECT_TRUE(route->IsKinematicallyValid(matrix_));
+  EXPECT_TRUE(RouteSetValidator::IsCollisionFree({committed_, *route}));
+  EXPECT_EQ(planner.CheckInvariants(), "");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    InterStripAndFallback, SrpCrossStripSwapTest, ::testing::Bool(),
+    [](const ::testing::TestParamInfo<bool>& info) {
+      return info.param ? std::string("Fallback") : std::string("InterStrip");
+    });
 
 TEST(SrpSpeculationTest, QueryWithoutCommitLeavesPlannerUntouched) {
   layout::Warehouse warehouse =
