@@ -74,12 +74,13 @@ int main(int argc, char** argv) {
     TableWriter table(
         {"variant", "TC (s)", "makespan", "fallbacks", "collision-free"});
     srp::SrpPlannerOptions base;
-    RunSrpVariant(w, "default (index, wA*=1.25, tube=6)", base, false,
-                  table, variant_runs);
+    RunSrpVariant(w, "default (sorted store, wA*=1.25, tube=6)", base,
+                  false, table, variant_runs);
 
     srp::SrpPlannerOptions v = base;
-    v.use_slope_index = false;
-    RunSrpVariant(w, "naive Sec. V-B store", v, false, table, variant_runs);
+    v.use_slope_index = true;
+    RunSrpVariant(w, "slope index (Sec. V-D)", v, false, table,
+                  variant_runs);
 
     v = base;
     v.use_goal_heuristic = false;

@@ -57,7 +57,7 @@ BENCHMARK_CAPTURE(BM_PlanQuery, rp, std::string("RP"))->Iterations(300);
 BENCHMARK_CAPTURE(BM_PlanQuery, twp, std::string("TWP"))->Iterations(300);
 BENCHMARK_CAPTURE(BM_PlanQuery, acp, std::string("ACP"))->Iterations(300);
 BENCHMARK_CAPTURE(BM_PlanQuery, srp, std::string("SRP"))->Iterations(300);
-BENCHMARK_CAPTURE(BM_PlanQuery, srp_noindex, std::string("SRP-noindex"))
+BENCHMARK_CAPTURE(BM_PlanQuery, srp_indexed, std::string("SRP-indexed"))
     ->Iterations(300);
 
 }  // namespace

@@ -22,9 +22,9 @@ std::unique_ptr<core::Planner> MakePlanner(std::string_view algorithm,
     return std::make_unique<AcpPlanner>(matrix, options);
   }
   if (algorithm == "SRP") return std::make_unique<srp::SrpPlanner>(matrix);
-  if (algorithm == "SRP-noindex") {
+  if (algorithm == "SRP-indexed") {
     srp::SrpPlannerOptions options;
-    options.use_slope_index = false;
+    options.use_slope_index = true;
     return std::make_unique<srp::SrpPlanner>(matrix, options);
   }
   return nullptr;

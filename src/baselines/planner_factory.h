@@ -19,8 +19,9 @@ struct PlannerBuildOptions {
 };
 
 /// Creates a planner by algorithm tag: "SAP", "RP", "TWP", "ACP", "SRP",
-/// or "SRP-noindex" (SRP with the naive Sec. V-B store — the Fig. 22
-/// ablation). Returns nullptr for unknown tags.
+/// or "SRP-indexed" (SRP with the slope index of Sec. V-D instead of the
+/// default sorted store — the Fig. 22 ablation). Returns nullptr for
+/// unknown tags.
 ///
 /// The returned planner references `matrix`; the caller keeps it alive.
 std::unique_ptr<core::Planner> MakePlanner(std::string_view algorithm,

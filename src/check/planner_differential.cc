@@ -54,7 +54,7 @@ std::vector<core::BatchQuery> MakeQueries(const layout::Warehouse& w,
 /// The backends under differential test: the paper's comparison set plus
 /// the store ablation.
 std::vector<std::string> Backends() {
-  return {"SAP", "RP", "TWP", "ACP", "SRP", "SRP-noindex"};
+  return {"SAP", "RP", "TWP", "ACP", "SRP", "SRP-indexed"};
 }
 
 }  // namespace
@@ -134,30 +134,31 @@ PlannerDiffResult RunPlannerDifferential(const PlannerDiffOptions& opt) {
   }
 
   // ---- 2) Store ablation differential: the slope index is a drop-in
-  // replacement, so SRP and SRP-noindex must produce identical days.
+  // replacement for the default sorted store, so SRP and SRP-indexed must
+  // produce identical days.
   for (int threads : opt.thread_counts) {
-    const sim::RunMetrics& indexed = metrics[{"SRP", threads}];
-    const sim::RunMetrics& naive = metrics[{"SRP-noindex", threads}];
-    if (indexed.makespan != naive.makespan ||
-        indexed.routes_released != naive.routes_released) {
+    const sim::RunMetrics& sorted = metrics[{"SRP", threads}];
+    const sim::RunMetrics& indexed = metrics[{"SRP-indexed", threads}];
+    if (sorted.makespan != indexed.makespan ||
+        sorted.routes_released != indexed.routes_released) {
       std::ostringstream what;
-      what << "SRP vs SRP-noindex diverged at threads=" << threads
-           << ": makespan " << indexed.makespan << " vs " << naive.makespan
-           << ", released " << indexed.routes_released << " vs "
-           << naive.routes_released;
+      what << "SRP vs SRP-indexed diverged at threads=" << threads
+           << ": makespan " << sorted.makespan << " vs " << indexed.makespan
+           << ", released " << sorted.routes_released << " vs "
+           << indexed.routes_released;
       return fail(what.str());
     }
   }
   {
     const auto queries = MakeQueries(warehouse, 24, opt.seed);
-    srp::SrpPlanner indexed(warehouse.matrix);
-    srp::SrpPlannerOptions noindex_opts;
-    noindex_opts.use_slope_index = false;
-    srp::SrpPlanner naive(warehouse.matrix, noindex_opts);
+    srp::SrpPlanner sorted(warehouse.matrix);
+    srp::SrpPlannerOptions indexed_opts;
+    indexed_opts.use_slope_index = true;
+    srp::SrpPlanner indexed(warehouse.matrix, indexed_opts);
+    core::PlanBatch(sorted, 0, queries);
     core::PlanBatch(indexed, 0, queries);
-    core::PlanBatch(naive, 0, queries);
-    if (indexed.committed_routes() != naive.committed_routes()) {
-      return fail("SRP vs SRP-noindex PlanBatch route sets diverged");
+    if (sorted.committed_routes() != indexed.committed_routes()) {
+      return fail("SRP vs SRP-indexed PlanBatch route sets diverged");
     }
   }
 

@@ -26,14 +26,14 @@ struct PlannerDiffResult {
 };
 
 /// Drives every planning backend ("SAP", "RP", "TWP", "ACP", "SRP",
-/// "SRP-noindex") through the same random scenario and cross-checks:
+/// "SRP-indexed") through the same random scenario and cross-checks:
 ///
 ///  * collision-freedom of every backend's committed route set under every
 ///    requested thread count (the simulator's validation oracle);
 ///  * live-route accounting: with retirement on, a drained day leaves zero
 ///    live routes, and an SRP store drained of routes holds zero segments;
-///  * SRP vs SRP-noindex route-set equality — the slope index is a drop-in
-///    replacement for the naive store, so the two backends must plan
+///  * SRP vs SRP-indexed route-set equality — the slope index is a drop-in
+///    replacement for the default sorted store, so the two backends must plan
 ///    byte-identical routes for the same task stream;
 ///  * PlanBatch serial-vs-speculative equality on SRP — the one place the
 ///    codebase promises determinism across thread counts (commit-then-

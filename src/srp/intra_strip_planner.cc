@@ -1,7 +1,7 @@
 #include "srp/intra_strip_planner.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <utility>
 
 namespace carp::srp {
 
@@ -16,8 +16,15 @@ class BacktrackingSearch {
                      const IntraPlanOptions& options, std::int64_t to_pos)
       : store_(store), options_(options), to_(to_pos) {}
 
-  bool Run(TimeStep t, std::int64_t pos, std::vector<Segment>& segments) {
-    return Search(t, pos, 0, segments);
+  // Plans from (t, pos), whose direct move to the target the caller has
+  // already probed and found colliding at `collision`. That probe is
+  // counted here, so the budget is spent exactly as if this search had
+  // issued it itself.
+  bool Run(TimeStep t, std::int64_t pos, TimeStep collision,
+           std::vector<Segment>& segments) {
+    probes_ = 1;
+    queries_ = 1;
+    return Backtrack(t, pos, 0, collision, segments);
   }
 
   static std::uint64_t StateKey(TimeStep t, std::int64_t pos) {
@@ -25,12 +32,32 @@ class BacktrackingSearch {
            static_cast<std::uint64_t>(pos);
   }
 
-  std::int64_t probes() const { return probes_; }
+  // Store queries actually issued, the caller's direct probe included.
+  std::int64_t queries() const { return queries_; }
 
  private:
   TimeStep Query(const Segment& candidate) {
     ++probes_;
+    ++queries_;
     return store_.EarliestCollisionTime(candidate);
+  }
+
+  // Earliest conflict of waiting the full max_wait at (t, pos). One stop
+  // point is reachable from every state on its diagonal, so answers are
+  // memoized; a reused answer still spends budget, which keeps the
+  // search's shape (and so its routes) independent of the memo.
+  TimeStep WaitConflict(TimeStep t, std::int64_t pos) {
+    const std::uint64_t key = StateKey(t, pos);
+    for (const auto& [k, conflict] : waits_) {
+      if (k == key) {
+        ++probes_;
+        return conflict;
+      }
+    }
+    const TimeStep conflict =
+        Query(Segment({t, pos}, {t + options_.max_wait, pos}));
+    waits_.emplace_back(key, conflict);
+    return conflict;
   }
 
   bool BudgetExceeded() const { return probes_ > options_.max_probes; }
@@ -44,10 +71,15 @@ class BacktrackingSearch {
   // wait pattern cannot succeed. This prunes the exponential backtracking
   // tree of Alg. 2 to one visit per state. (States abandoned purely on
   // depth/probe budget are memoized too — conservative; the inter-strip
-  // level routes around, or the A* fallback catches the query.)
+  // level routes around, or the A* fallback catches the query.) Every
+  // memoized state spent one direct probe, so the memo holds at most
+  // max_probes + 1 keys and a linear scan beats hashing.
   bool Search(TimeStep t, std::int64_t pos, std::int32_t depth,
               std::vector<Segment>& segments) {
-    if (failed_.contains(StateKey(t, pos))) return false;
+    if (std::find(failed_.begin(), failed_.end(), StateKey(t, pos)) !=
+        failed_.end()) {
+      return false;
+    }
     if (pos == to_) {
       // Already at target: record the point occupancy if nothing else will
       // (the caller needs the arrival instant represented).
@@ -58,24 +90,26 @@ class BacktrackingSearch {
     }
     if (depth > options_.max_stops || BudgetExceeded()) return false;
 
-    const std::int64_t dir = to_ > pos ? 1 : -1;
-    const std::int64_t dist = dir * (to_ - pos);
-
     // Greedy move all the way (Alg. 2 lines 8-12).
-    const Segment direct({t, pos}, {t + dist, to_});
+    const Segment direct({t, pos}, {t + Distance(pos), to_});
     const TimeStep c = Query(direct);
     if (c == kInfiniteTime) {
       segments.push_back(direct);
       return true;
     }
+    return Backtrack(t, pos, depth, c, segments);
+  }
 
-    // Collision at time c: the prefix strictly before c is collision-free.
-    // Try stopping right before the collision and waiting (lines 13-21);
-    // if waiting there dead-ends, back off to earlier stop positions ("we
-    // return to the previous step, wait one time unit and try to move
-    // again", Sec. V-C).
-    const std::int64_t max_steps =
-        std::max<std::int64_t>(0, std::min<TimeStep>(c - 1 - t, dist));
+  // The direct move from (t, pos) collides at time c: the prefix strictly
+  // before c is collision-free. Try stopping right before the collision
+  // and waiting (Alg. 2 lines 13-21); if waiting there dead-ends, back off
+  // to earlier stop positions ("we return to the previous step, wait one
+  // time unit and try to move again", Sec. V-C).
+  bool Backtrack(TimeStep t, std::int64_t pos, std::int32_t depth,
+                 TimeStep c, std::vector<Segment>& segments) {
+    const std::int64_t dir = to_ > pos ? 1 : -1;
+    const std::int64_t max_steps = std::max<std::int64_t>(
+        0, std::min<TimeStep>(c - 1 - t, Distance(pos)));
     for (std::int64_t steps = max_steps; steps >= 0; --steps) {
       if (BudgetExceeded()) return false;
       const std::int64_t stop_pos = pos + dir * steps;
@@ -86,8 +120,7 @@ class BacktrackingSearch {
       const TimeStep stop_t = t + steps;
       // Longest collision-free wait at the stop position; waits beyond the
       // first conflicting instant can never succeed.
-      const TimeStep wait_conflict = Query(
-          Segment({stop_t, stop_pos}, {stop_t + options_.max_wait, stop_pos}));
+      const TimeStep wait_conflict = WaitConflict(stop_t, stop_pos);
       const TimeStep max_wait =
           wait_conflict == kInfiniteTime
               ? options_.max_wait
@@ -102,15 +135,21 @@ class BacktrackingSearch {
       }
       segments.resize(mark);
     }
-    failed_.insert(StateKey(t, pos));
+    failed_.push_back(StateKey(t, pos));
     return false;
+  }
+
+  std::int64_t Distance(std::int64_t pos) const {
+    return to_ > pos ? to_ - pos : pos - to_;
   }
 
   const SegmentStore& store_;
   const IntraPlanOptions& options_;
   const std::int64_t to_;
-  std::int64_t probes_ = 0;
-  std::unordered_set<std::uint64_t> failed_;
+  std::int64_t probes_ = 0;  // budget spent, reused wait answers included
+  std::int64_t queries_ = 0;
+  std::vector<std::uint64_t> failed_;
+  std::vector<std::pair<std::uint64_t, TimeStep>> waits_;
 };
 
 }  // namespace
@@ -134,7 +173,8 @@ std::optional<IntraPlan> PlanWithinStrip(const SegmentStore& store,
   const std::int64_t dist =
       to_pos > from_pos ? to_pos - from_pos : from_pos - to_pos;
   const Segment direct({start, from_pos}, {start + dist, to_pos});
-  if (store.EarliestCollisionTime(direct) == kInfiniteTime) {
+  const TimeStep collision = store.EarliestCollisionTime(direct);
+  if (collision == kInfiniteTime) {
     plan.segments.push_back(direct);
     plan.arrival = direct.finish().t;
     plan.probes = 1;
@@ -142,9 +182,11 @@ std::optional<IntraPlan> PlanWithinStrip(const SegmentStore& store,
   }
 
   BacktrackingSearch search(store, options, to_pos);
-  if (!search.Run(start, from_pos, plan.segments)) return std::nullopt;
+  if (!search.Run(start, from_pos, collision, plan.segments)) {
+    return std::nullopt;
+  }
   plan.arrival = plan.segments.back().finish().t;
-  plan.probes = search.probes() + 1;
+  plan.probes = search.queries();
   return plan;
 }
 

@@ -38,7 +38,9 @@ struct IntraPlan {
   /// of the last segment).
   TimeStep arrival = 0;
 
-  /// Collision queries spent (diagnostics).
+  /// Collision queries issued to the store (diagnostics). No candidate is
+  /// probed twice in one call; a reused answer still spends `max_probes`
+  /// budget but is not counted here.
   std::int64_t probes = 0;
 };
 

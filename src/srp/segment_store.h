@@ -538,7 +538,10 @@ class SegmentStore {
 /// The naive store of Sec. V-B: one ordered sequence keyed by segment start
 /// time. Collision judgement scans every stored segment whose time span can
 /// overlap the candidate — O(2 log n + n) — though the block summaries let
-/// the kernel skip most of that prefix wholesale.
+/// the kernel skip most of that prefix wholesale. "Naive" names the paper's
+/// layout, not its standing here: with summaries on it makes fewer pairwise
+/// judgements than the slope index on the day, so every default SrpPlanner
+/// runs this store (DESIGN.md §2f).
 class NaiveSegmentStore final : public SegmentStore {
  public:
   /// `summary_pruning` false degrades the collision kernel to the flat

@@ -27,9 +27,12 @@ namespace carp::srp {
 
 /// Tunables of the end-to-end SRP planner.
 struct SrpPlannerOptions {
-  /// Use the slope-based segment index (Sec. V-D). false = the naive
-  /// ordered-set store of Sec. V-B; the Fig. 22b ablation toggles this.
-  bool use_slope_index = true;
+  /// Use the slope-based segment index (Sec. V-D) instead of the
+  /// start-time-sorted store of Sec. V-B. Off by default: with block
+  /// summaries on, the sorted store judges fewer candidates and answers
+  /// faster on the day (DESIGN.md §2f). The Fig. 22 ablation and the
+  /// "SRP-indexed" factory tag turn it on; answers are identical.
+  bool use_slope_index = false;
 
   /// Use the block-summary pass of the segment stores' collision kernel
   /// (DESIGN.md §2f). false degrades every store scan to the flat

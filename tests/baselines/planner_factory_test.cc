@@ -23,9 +23,9 @@ TEST(PlannerFactoryTest, PaperAlgorithmOrder) {
             (std::vector<std::string>{"SAP", "RP", "TWP", "ACP", "SRP"}));
 }
 
-TEST(PlannerFactoryTest, SrpNoIndexVariant) {
+TEST(PlannerFactoryTest, SrpIndexedVariant) {
   layout::Warehouse w = layout::GenerateWarehouse(layout::PresetTiny());
-  auto planner = MakePlanner("SRP-noindex", w.matrix);
+  auto planner = MakePlanner("SRP-indexed", w.matrix);
   ASSERT_NE(planner, nullptr);
   EXPECT_EQ(planner->name(), "SRP");  // same algorithm, different store
 }

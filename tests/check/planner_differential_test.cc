@@ -1,6 +1,6 @@
 // Planner-level differential scenarios (DESIGN.md §2d): every backend
 // through the same random day, retire/prune on and off, serial and
-// speculative dispatch — collision-freedom, SRP-vs-noindex equality and
+// speculative dispatch — collision-freedom, SRP-vs-indexed equality and
 // lifecycle accounting cross-checked in one harness.
 #include <gtest/gtest.h>
 

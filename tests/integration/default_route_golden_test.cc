@@ -93,7 +93,7 @@ INSTANTIATE_TEST_SUITE_P(
         Golden{"TWP", 6960769855112265647ULL, 228109},
         Golden{"ACP", 2328675491854859994ULL, 228040},
         Golden{"SRP", 2423642477536876040ULL, 228286},
-        Golden{"SRP-noindex", 2423642477536876040ULL, 228286}),
+        Golden{"SRP-indexed", 2423642477536876040ULL, 228286}),
     [](const ::testing::TestParamInfo<Golden>& info) {
       std::string name = info.param.tag;
       for (char& c : name) {

@@ -88,7 +88,7 @@ TEST_P(LongrunLifecycleTest, ThreeDaysBoundedStateCollisionFree) {
 
 INSTANTIATE_TEST_SUITE_P(AllPlanners, LongrunLifecycleTest,
                          ::testing::Values("SAP", "RP", "TWP", "ACP", "SRP",
-                                           "SRP-noindex"));
+                                           "SRP-indexed"));
 
 // Retirement composed with speculative batched dispatch: losers of the
 // optimistic commit-then-validate pass release through the same path the

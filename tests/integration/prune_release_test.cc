@@ -95,7 +95,7 @@ TEST_P(PruneReleaseTest, ReleaseAfterFullPruneIsCountedAsPrunedNotReleased) {
 
 INSTANTIATE_TEST_SUITE_P(AllPlanners, PruneReleaseTest,
                          ::testing::Values("SAP", "RP", "TWP", "ACP", "SRP",
-                                           "SRP-noindex"));
+                                           "SRP-indexed"));
 
 }  // namespace
 }  // namespace carp

@@ -111,7 +111,7 @@ TEST_P(SimulatorAlgorithmTest, DayCompletesCollisionFree) {
 
 INSTANTIATE_TEST_SUITE_P(AllPlanners, SimulatorAlgorithmTest,
                          ::testing::Values("SAP", "RP", "TWP", "ACP", "SRP",
-                                           "SRP-noindex"));
+                                           "SRP-indexed"));
 
 TEST(ExperimentRunnerTest, RunsPairedDaysAcrossAlgorithms) {
   ExperimentConfig config;

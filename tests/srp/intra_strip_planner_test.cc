@@ -1,5 +1,9 @@
 #include "srp/intra_strip_planner.h"
 
+#include <functional>
+#include <optional>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -134,14 +138,90 @@ TEST_F(IntraStripPlannerTest, ProbeBudgetRespected) {
   EXPECT_FALSE(plan.has_value());
 }
 
+// Forwards to a real store and records every collision query, so a test
+// can see exactly which candidates one PlanWithinStrip call probed.
+class RecordingStore final : public SegmentStore {
+ public:
+  void Insert(const Segment& segment) override { inner_.Insert(segment); }
+  bool Remove(const Segment& segment) override {
+    return inner_.Remove(segment);
+  }
+  std::size_t PruneBefore(TimeStep t) override {
+    return inner_.PruneBefore(t);
+  }
+  TimeStep EarliestCollisionTime(const Segment& candidate) const override {
+    probed.push_back(candidate);
+    return inner_.EarliestCollisionTime(candidate);
+  }
+  std::size_t size() const override { return inner_.size(); }
+  std::size_t RetainedBytes() const override {
+    return inner_.RetainedBytes();
+  }
+  void ForEachLive(
+      const std::function<void(const Segment&)>& fn) const override {
+    inner_.ForEachLive(fn);
+  }
+
+  mutable std::vector<Segment> probed;
+
+ private:
+  NaiveSegmentStore inner_;
+};
+
+// Asserts that one PlanWithinStrip call probed no candidate twice and
+// reported the number of store queries it really made.
+void ExpectEachCandidateProbedOnce(const RecordingStore& store,
+                                   const std::optional<IntraPlan>& plan) {
+  for (std::size_t a = 0; a < store.probed.size(); ++a) {
+    for (std::size_t b = a + 1; b < store.probed.size(); ++b) {
+      EXPECT_NE(store.probed[a], store.probed[b])
+          << "probed " << store.probed[a] << " twice";
+    }
+  }
+  if (plan.has_value()) {
+    EXPECT_EQ(plan->probes, static_cast<std::int64_t>(store.probed.size()));
+  }
+}
+
+// The backtracking search starts from the direct probe the fast path
+// already made, and stop points shared by several states reuse their wait
+// probe.
+TEST(IntraStripProbeTest, NoCandidateProbedTwice) {
+  struct Scenario {
+    std::vector<Segment> traffic;
+    TimeStep start;
+    std::int64_t from;
+    std::int64_t to;
+  };
+  const std::vector<Scenario> scenarios = {
+      {{Segment({0, 10}, {5, 5})}, 0, 0, 10},
+      {{Segment({0, 10}, {10, 0})}, 0, 0, 10},
+      {{Segment({0, 5}, {6, 5})}, 0, 0, 9},
+      {{Segment({6, 6}, {6, 6})}, 0, 0, 9},
+      {{Segment({0, 5}, {50, 5})}, 0, 0, 9},
+      {{Segment({5, 4}, {5, 4}), Segment({7, 3}, {9, 3})}, 0, 9, 0},
+  };
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "scenario " << i);
+    const Scenario& sc = scenarios[i];
+    RecordingStore store;
+    for (const Segment& seg : sc.traffic) store.Insert(seg);
+    auto plan =
+        PlanWithinStrip(store, sc.start, sc.from, sc.to, IntraPlanOptions{});
+    ASSERT_GT(store.probed.size(), 1u);  // the search ran
+    ExpectEachCandidateProbedOnce(store, plan);
+  }
+}
+
 // Property test: against random congestion, any returned plan must be
-// collision-free, monotone, and contiguous.
+// collision-free, monotone, and contiguous, and no call may probe a
+// candidate twice.
 class IntraPlannerPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(IntraPlannerPropertyTest, PlansAreAlwaysConsistent) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 97 + 5);
   for (int iter = 0; iter < 80; ++iter) {
-    IndexedSegmentStore store;
+    RecordingStore store;
     const std::int64_t strip_len = 12;
     const int population = static_cast<int>(rng.UniformU32(12));
     for (int i = 0; i < population; ++i) {
@@ -157,8 +237,10 @@ TEST_P(IntraPlannerPropertyTest, PlansAreAlwaysConsistent) {
     const std::int64_t to = rng.UniformInt(0, strip_len - 1);
     const TimeStep start = rng.UniformInt(0, 10);
     if (store.OccupiedAt(from, start)) continue;  // illegal query state
+    store.probed.clear();
     IntraPlanOptions options;
     auto plan = PlanWithinStrip(store, start, from, to, options);
+    ExpectEachCandidateProbedOnce(store, plan);
     if (plan.has_value()) {
       CheckPlan(store, *plan, start, from, to);
     }

@@ -261,6 +261,40 @@ TEST(SrpPlannerVariantsTest, IndexAndNaiveProduceIdenticalRoutes) {
   }
 }
 
+// The default planner runs the start-time-sorted store of Sec. V-B, not
+// the slope index: same routes as both explicit variants, and exactly the
+// sorted store's footprint, which is smaller than the index's (the index
+// keeps a second, by-line sequence).
+TEST(SrpPlannerVariantsTest, DefaultIsTheSortedStore) {
+  layout::Warehouse warehouse =
+      layout::GenerateWarehouse(layout::PresetTiny());
+  SrpPlannerOptions sorted_options;
+  sorted_options.use_slope_index = false;
+  SrpPlannerOptions indexed_options;
+  indexed_options.use_slope_index = true;
+  SrpPlanner by_default(warehouse.matrix);
+  SrpPlanner sorted(warehouse.matrix, sorted_options);
+  SrpPlanner indexed(warehouse.matrix, indexed_options);
+
+  workload::TaskGeneratorOptions topts;
+  topts.task_count = 60;
+  topts.day_length = 300;
+  topts.seed = 17;
+  const auto tasks = workload::GenerateTasks(
+      warehouse, workload::ArrivalProfile::Uniform(), topts);
+  const auto queries = workload::FlattenToQueries(warehouse, tasks);
+  for (const auto& q : queries) {
+    auto r = by_default.PlanRoute(q.emergence, q.origin, q.destination);
+    auto rs = sorted.PlanRoute(q.emergence, q.origin, q.destination);
+    auto ri = indexed.PlanRoute(q.emergence, q.origin, q.destination);
+    ASSERT_EQ(r, rs);
+    ASSERT_EQ(r, ri);
+  }
+  ASSERT_GT(by_default.SegmentCount(), 0u);
+  EXPECT_EQ(by_default.RetainedBytes(), sorted.RetainedBytes());
+  EXPECT_LT(by_default.RetainedBytes(), indexed.RetainedBytes());
+}
+
 TEST(SrpPlannerFallbackTest, FallbacksAreRare) {
   layout::Warehouse warehouse =
       layout::GenerateWarehouse(layout::PresetSmall());
