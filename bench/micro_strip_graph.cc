@@ -3,6 +3,10 @@
 // make SRP deployable, and StripOf/PositionInStrip sit on every query's
 // hot path.
 
+#include <map>
+#include <span>
+#include <string>
+
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -61,19 +65,19 @@ void BM_NearestContact(benchmark::State& state) {
   std::size_t most_contacts = 0;
   for (const Strip& s : graph.strips()) {
     for (const StripEdge& e : graph.EdgesOf(s.id)) {
-      if (e.contacts.size() > most_contacts) {
-        most_contacts = e.contacts.size();
+      if (graph.ContactsOf(e).size() > most_contacts) {
+        most_contacts = graph.ContactsOf(e).size();
         widest = s.id;
       }
     }
   }
-  const auto& edges = graph.EdgesOf(widest);
+  const std::span<const StripEdge> edges = graph.EdgesOf(widest);
   Rng rng(6);
   for (auto _ : state) {
     const StripEdge& e = edges[rng.UniformU32(
         static_cast<std::uint32_t>(edges.size()))];
     benchmark::DoNotOptimize(
-        e.NearestContact(rng.UniformInt(0, 100)));
+        NearestContact(graph.ContactsOf(e), rng.UniformInt(0, 100)));
   }
   state.SetLabel("max contacts=" + std::to_string(most_contacts));
 }

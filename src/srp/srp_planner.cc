@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -298,16 +299,19 @@ std::optional<SrpPath> SrpPlanner::StaticFirstPlan(
     const TimeStep lb_u =
         detour_prune ? lower_bound(strip_u.CellAt(lu.entry_pos)) : 0;
 
-    for (const StripEdge& edge : graph_.EdgesOf(u)) {
+    graph_.ForEachEdgeInTube(
+        u, lu.entry_pos, destination, detour_prune ? options_.detour_slack : -1,
+        [&](const StripEdge& edge) {
       const StripId v = edge.to;
       Label& lv = label_of(v);
-      if (lv.settled) continue;
-      if (StoreOf(v) == nullptr) continue;  // rack strips not traversed
+      if (lv.settled) return;
+      if (StoreOf(v) == nullptr) return;  // rack strips not traversed
 
+      const std::span<const StripContact> contacts = graph_.ContactsOf(edge);
       const StripContact& contact =
-          v == vd ? edge.ContactNearestToTarget(
-                        graph_.strip(vd).PositionOf(destination))
-                  : edge.NearestContact(lu.entry_pos);
+          v == vd ? ContactNearestToTarget(
+                        contacts, graph_.strip(vd).PositionOf(destination))
+                  : NearestContact(contacts, lu.entry_pos);
       const std::int64_t hop_lb =
           lu.entry_pos > contact.pos_u ? lu.entry_pos - contact.pos_u
                                        : contact.pos_u - lu.entry_pos;
@@ -317,7 +321,7 @@ std::optional<SrpPath> SrpPlanner::StaticFirstPlan(
       const std::int64_t congestion =
           static_cast<std::int64_t>(StoreOf(v)->size()) / 48;
       const TimeStep dist_v = lu.arrival + hop_lb + 1 + congestion;
-      if (dist_v >= lv.arrival) continue;
+      if (dist_v >= lv.arrival) return;
 
       // One bound per surviving edge, shared by the detour prune and the
       // open-list key.
@@ -327,7 +331,7 @@ std::optional<SrpPath> SrpPlanner::StaticFirstPlan(
               : 0;
       if (detour_prune) {
         const std::int64_t detour = hop_lb + 1 + lb_v - lb_u;
-        if (detour > options_.detour_slack) continue;
+        if (detour > options_.detour_slack) return;
       }
 
       lv.arrival = dist_v;
@@ -335,7 +339,7 @@ std::optional<SrpPath> SrpPlanner::StaticFirstPlan(
       lv.pred = u;
       lv.pred_exit_pos = contact.pos_u;
       open.Push(dist_v + weighted(lb_v), 0, v);
-    }
+    });
   }
   if (!reached) return std::nullopt;
 
@@ -513,19 +517,24 @@ std::optional<SrpPath> SrpPlanner::InterStripSearch(
     const TimeStep lb_u =
         detour_prune ? lower_bound(strip_u.CellAt(lu.entry_pos)) : 0;
 
-    for (const StripEdge& edge : graph_.EdgesOf(u)) {
+    // Only edges inside the geodesic tube are visited (see
+    // StripGraph::ForEachEdgeInTube); the exact test below still applies.
+    graph_.ForEachEdgeInTube(
+        u, lu.entry_pos, destination, detour_prune ? options_.detour_slack : -1,
+        [&](const StripEdge& edge) {
       const StripId v = edge.to;
       Label& lv = label_of(v);
-      if (lv.settled) continue;
-      if (StoreOf(v) == nullptr) continue;  // rack strips are not traversed
+      if (lv.settled) return;
+      if (StoreOf(v) == nullptr) return;  // rack strips are not traversed
 
       // Greedy transit (Sec. VI): cross at the pair containing the source
       // grid — except into the destination strip, where entering next to
       // the goal avoids the worst of the Fig. 14 greedy-transit penalty.
+      const std::span<const StripContact> contacts = graph_.ContactsOf(edge);
       const StripContact& contact =
-          v == vd ? edge.ContactNearestToTarget(
-                        graph_.strip(vd).PositionOf(destination))
-                  : edge.NearestContact(lu.entry_pos);
+          v == vd ? ContactNearestToTarget(
+                        contacts, graph_.strip(vd).PositionOf(destination))
+                  : NearestContact(contacts, lu.entry_pos);
       const std::int64_t hop_lb =
           lu.entry_pos > contact.pos_u ? lu.entry_pos - contact.pos_u
                                        : contact.pos_u - lu.entry_pos;
@@ -533,7 +542,7 @@ std::optional<SrpPath> SrpPlanner::InterStripSearch(
       // Relaxation pre-check: even a wait-free traversal cannot arrive in
       // v before this lower bound, so skip the (comparatively expensive)
       // intra-strip search when it cannot improve v's label.
-      if (lu.arrival + hop_lb + 1 >= lv.arrival) continue;
+      if (lu.arrival + hop_lb + 1 >= lv.arrival) return;
 
       // One bound per surviving edge, shared by the tube prune and the
       // open-list key.
@@ -544,20 +553,20 @@ std::optional<SrpPath> SrpPlanner::InterStripSearch(
       // Geodesic-tube pruning (see SrpPlannerOptions::detour_slack).
       if (detour_prune) {
         const std::int64_t detour = hop_lb + 1 + lb_v - lb_u;
-        if (detour > options_.detour_slack) continue;
+        if (detour > options_.detour_slack) return;
       }
 
       if (timed) intra_watch_.Start();
       auto intra = PlanWithinStrip(*StoreOf(u), lu.arrival, lu.entry_pos,
                                    contact.pos_u, options_.intra);
       if (timed) intra_watch_.Stop();
-      if (!intra.has_value()) continue;
+      if (!intra.has_value()) return;
 
       if (timed) intra_watch_.Start();
       auto tau = CrossingTime(u, contact.pos_u, v, contact.pos_v,
                               intra->arrival);
       if (timed) intra_watch_.Stop();
-      if (!tau.has_value()) continue;
+      if (!tau.has_value()) return;
 
       const TimeStep arrival_v = *tau + 1;
       if (arrival_v < lv.arrival) {
@@ -571,7 +580,7 @@ std::optional<SrpPath> SrpPlanner::InterStripSearch(
         }
         open.Push(arrival_v + weighted(lb_v), 0, v);
       }
-    }
+    });
   }
   stop_watch();
   return std::nullopt;

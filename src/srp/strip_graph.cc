@@ -2,15 +2,16 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
-#include <utility>
+#include <iterator>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/memory_accounting.h"
 
 namespace carp::srp {
 
-const StripContact& StripEdge::NearestContactSlow(std::int64_t pos) const {
+const StripContact& NearestContactSlow(std::span<const StripContact> contacts,
+                                       std::int64_t pos) {
   CARP_CHECK(!contacts.empty());
   auto it = std::lower_bound(
       contacts.begin(), contacts.end(), pos,
@@ -21,8 +22,8 @@ const StripContact& StripEdge::NearestContactSlow(std::int64_t pos) const {
   return (pos - prev->pos_u) <= (it->pos_u - pos) ? *prev : *it;
 }
 
-const StripContact& StripEdge::ContactNearestToTarget(
-    std::int64_t pos_v) const {
+const StripContact& ContactNearestToTarget(
+    std::span<const StripContact> contacts, std::int64_t pos_v) {
   CARP_CHECK(!contacts.empty());
   const StripContact* best = &contacts.front();
   std::int64_t best_dist = std::abs(best->pos_v - pos_v);
@@ -94,45 +95,99 @@ StripGraph::StripGraph(const core::WarehouseMatrix& matrix)
     }
   }
 
+  strips_.shrink_to_fit();
+
   // Phase 3 (lines 21-24): edges between strips with adjacent cells,
-  // excluding rack-rack pairs (robots cannot cross racks).
-  adjacency_.assign(strips_.size(), {});
-  std::map<std::pair<StripId, StripId>, std::vector<StripContact>> contacts;
-  auto record = [&](GridCoord a, GridCoord b) {
-    const StripId u = StripOf(a);
-    const StripId v = StripOf(b);
-    if (u == v) return;
-    if (strip(u).type == CellKind::kRack && strip(v).type == CellKind::kRack)
-      return;
-    contacts[{u, v}].push_back(
-        StripContact{strip(u).PositionOf(a), strip(v).PositionOf(b)});
-    contacts[{v, u}].push_back(
-        StripContact{strip(v).PositionOf(b), strip(u).PositionOf(a)});
+  // excluding rack-rack pairs (robots cannot cross racks). Each touching
+  // cell pair yields one directed contact per direction; a counting pass
+  // buckets them by source strip, and sorting a bucket by (target, pos_u)
+  // groups it into that strip's edges.
+  struct Directed {
+    StripId to;
+    StripContact contact;
   };
-  for (std::int32_t i = 0; i < h; ++i) {
-    for (std::int32_t j = 0; j < w; ++j) {
-      if (i + 1 < h) record({i, j}, {i + 1, j});
-      if (j + 1 < w) record({i, j}, {i, j + 1});
+  auto for_each_contact = [&](auto&& emit) {
+    auto record = [&](GridCoord a, GridCoord b) {
+      const StripId u = cell_strip_[static_cast<std::size_t>(matrix.Index(a))];
+      const StripId v = cell_strip_[static_cast<std::size_t>(matrix.Index(b))];
+      if (u == v) return;
+      const Strip& su = strip(u);
+      const Strip& sv = strip(v);
+      if (su.type == CellKind::kRack && sv.type == CellKind::kRack) return;
+      const auto pu = static_cast<std::int32_t>(su.PositionOf(a));
+      const auto pv = static_cast<std::int32_t>(sv.PositionOf(b));
+      emit(u, Directed{v, StripContact{pu, pv}});
+      emit(v, Directed{u, StripContact{pv, pu}});
+    };
+    for (std::int32_t i = 0; i < h; ++i) {
+      for (std::int32_t j = 0; j < w; ++j) {
+        if (i + 1 < h) record({i, j}, {i + 1, j});
+        if (j + 1 < w) record({i, j}, {i, j + 1});
+      }
+    }
+  };
+  const std::size_t n = strips_.size();
+  std::vector<std::int32_t> bucket(n + 1, 0);
+  for_each_contact([&](StripId u, const Directed&) {
+    ++bucket[static_cast<std::size_t>(u) + 1];
+  });
+  for (std::size_t s = 0; s < n; ++s) bucket[s + 1] += bucket[s];
+  std::vector<Directed> directed(static_cast<std::size_t>(bucket[n]));
+  {
+    std::vector<std::int32_t> fill(bucket.begin(), bucket.end() - 1);
+    for_each_contact([&](StripId u, const Directed& d) {
+      directed[static_cast<std::size_t>(
+          fill[static_cast<std::size_t>(u)]++)] = d;
+    });
+  }
+  std::size_t edges = 0;
+  for (std::size_t s = 0; s < n; ++s) {
+    const auto first = directed.begin() + bucket[s];
+    const auto last = directed.begin() + bucket[s + 1];
+    std::sort(first, last, [](const Directed& a, const Directed& b) {
+      return a.to != b.to ? a.to < b.to : a.contact.pos_u < b.contact.pos_u;
+    });
+    for (auto it = first; it != last; ++it) {
+      edges += (it == first || it->to != std::prev(it)->to) ? 1 : 0;
     }
   }
-  for (auto& [key, pairs] : contacts) {
-    std::sort(pairs.begin(), pairs.end(),
-              [](const StripContact& a, const StripContact& b) {
-                return a.pos_u < b.pos_u;
-              });
-    StripEdge edge;
-    edge.from = key.first;
-    edge.to = key.second;
-    edge.contacts = std::move(pairs);
-    adjacency_[static_cast<std::size_t>(key.first)].push_back(
-        std::move(edge));
+
+  edge_offsets_.resize(n + 1);
+  tail_begin_.resize(n);
+  edges_.reserve(edges + 1);
+  contacts_.resize(directed.size());
+  for (std::size_t s = 0; s < n; ++s) {
+    edge_offsets_[s] = static_cast<std::int32_t>(edges_.size());
+    for (auto k = static_cast<std::size_t>(bucket[s]);
+         k < static_cast<std::size_t>(bucket[s + 1]); ++k) {
+      if (k == static_cast<std::size_t>(bucket[s]) ||
+          directed[k].to != directed[k - 1].to) {
+        edges_.push_back(
+            StripEdge{directed[k].to, static_cast<std::int32_t>(k)});
+      }
+      contacts_[k] = directed[k].contact;
+    }
+    // The tail run: walk back over single-contact edges while pos_u does
+    // not increase.
+    std::size_t tail = edges_.size();
+    std::int32_t next_first = bucket[s + 1];
+    std::int32_t next_pos = std::numeric_limits<std::int32_t>::max();
+    while (tail > static_cast<std::size_t>(edge_offsets_[s])) {
+      const StripEdge& e = edges_[tail - 1];
+      const std::int32_t pos_u =
+          contacts_[static_cast<std::size_t>(e.first_contact)].pos_u;
+      if (next_first - e.first_contact != 1 || pos_u > next_pos) break;
+      next_first = e.first_contact;
+      next_pos = pos_u;
+      --tail;
+    }
+    tail_begin_[s] = static_cast<std::int32_t>(tail);
   }
-  std::int64_t directed = 0;
-  for (const auto& out : adjacency_) {
-    directed += static_cast<std::int64_t>(out.size());
-  }
-  CARP_CHECK(directed % 2 == 0);
-  edge_count_ = directed / 2;
+  edge_offsets_[n] = static_cast<std::int32_t>(edges_.size());
+  edges_.push_back(
+      StripEdge{kInvalidStrip, static_cast<std::int32_t>(contacts_.size())});
+  CARP_CHECK(edges % 2 == 0);
+  edge_count_ = static_cast<std::int64_t>(edges / 2);
 }
 
 StripId StripGraph::StripOf(GridCoord g) const {
@@ -141,12 +196,9 @@ StripId StripGraph::StripOf(GridCoord g) const {
 }
 
 std::size_t StripGraph::RetainedBytes() const {
-  std::size_t bytes = mem::BytesOf(strips_) + mem::BytesOf(cell_strip_);
-  for (const auto& out : adjacency_) {
-    bytes += mem::BytesOf(out);
-    for (const auto& e : out) bytes += mem::BytesOf(e.contacts);
-  }
-  return bytes;
+  return mem::BytesOf(strips_) + mem::BytesOf(cell_strip_) +
+         mem::BytesOf(edge_offsets_) + mem::BytesOf(tail_begin_) +
+         mem::BytesOf(edges_) + mem::BytesOf(contacts_);
 }
 
 }  // namespace carp::srp
