@@ -2,6 +2,7 @@
 #define CARP_CORE_PLANNER_H_
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -22,12 +23,31 @@ class ThreadPool;
 
 namespace carp::core {
 
+/// Why SRP escalated a query to its A* fallback (DESIGN.md §2a: the first
+/// strip pass keeps one label per strip, the rescue pass several).
+enum class FallbackReason : std::uint8_t {
+  /// The first pass's open list ran dry without ever reaching a strip at a
+  /// second entry, so the rescue pass would repeat it step for step.
+  kFirstPassExhausted,
+  /// The strip passes settled `max_strip_expansions` labels between them.
+  kSettledCap,
+  /// Reaching the destination from inside its strip failed on more than 8
+  /// entries.
+  kFinalLegGiveUp,
+  /// The rescue pass's open list ran dry as well.
+  kRescueExhausted,
+};
+inline constexpr std::size_t kFallbackReasonCount = 4;
+
 /// Aggregate counters every planner maintains; consumed by the benchmark
 /// harness.
 struct PlannerStats {
   std::int64_t queries = 0;
   std::int64_t failures = 0;        // no route found within budget
   std::int64_t fallbacks = 0;       // SRP: calls escalated to A* (Sec. VI)
+  std::int64_t rescues = 0;  // SRP: failed first passes the rescue answered
+  // SRP: fallbacks by FallbackReason (they sum to `fallbacks`).
+  std::array<std::int64_t, kFallbackReasonCount> fallback_reasons{};
   std::int64_t replans = 0;         // RP: routes replanned due to conflicts
   std::int64_t cache_hits = 0;      // ACP: cached path reuses
   std::int64_t static_path_hits = 0;  // SRP: static-first chains timed OK
@@ -78,6 +98,10 @@ struct PlannerStats {
   /// live structures (untouched by Merge).
   std::int64_t buckets_erased = 0;
 
+  std::int64_t FallbacksFor(FallbackReason reason) const {
+    return fallback_reasons[static_cast<std::size_t>(reason)];
+  }
+
   /// Fraction of speculative routes invalidated by an earlier commit —
   /// the contention signal of the parallel batch planner.
   double SpeculationConflictRate() const {
@@ -93,6 +117,10 @@ struct PlannerStats {
     queries += other.queries;
     failures += other.failures;
     fallbacks += other.fallbacks;
+    rescues += other.rescues;
+    for (std::size_t r = 0; r < kFallbackReasonCount; ++r) {
+      fallback_reasons[r] += other.fallback_reasons[r];
+    }
     replans += other.replans;
     cache_hits += other.cache_hits;
     static_path_hits += other.static_path_hits;

@@ -234,6 +234,40 @@ std::optional<TimeStep> SrpPlanner::CrossingTime(StripId u,
   return std::nullopt;
 }
 
+SrpPlanner::Target SrpPlanner::TargetOf(Search& search, StripId strip,
+                                        std::int64_t entry,
+                                        int max_entries) {
+  Target target;
+  std::int32_t same = -1;
+  std::int32_t latest = -1;
+  const std::span<const std::int32_t> labels = search.EntriesOf(strip);
+  for (const std::int32_t index : labels) {
+    const Label& label = search[index];
+    if (label.entry_pos == entry) {
+      same = index;
+      continue;
+    }
+    // A label whose final leg failed was reset to entry -1: a free slot,
+    // not a competing entry.
+    if (label.entry_pos >= 0) target.other_entry = true;
+    if (!label.settled &&
+        (latest < 0 || label.arrival > search[latest].arrival)) {
+      latest = index;
+    }
+  }
+  if (same < 0 && static_cast<int>(labels.size()) >= max_entries) {
+    same = latest;
+  }
+  if (same >= 0) {
+    target.label = same;
+    target.bound = search[same].arrival;
+    target.open = !search[same].settled;
+  } else {
+    target.open = static_cast<int>(labels.size()) < max_entries;
+  }
+  return target;
+}
+
 std::optional<SrpPath> SrpPlanner::StaticFirstPlan(
     Search& search, TimeStep start, GridCoord origin,
     GridCoord destination) const {
@@ -241,24 +275,10 @@ std::optional<SrpPath> SrpPlanner::StaticFirstPlan(
   const StripId vd = graph_.StripOf(destination);
   if (StoreOf(vo) == nullptr || StoreOf(vd) == nullptr) return std::nullopt;
 
-  // ---- Phase 1: probe-free static A* over the strip graph. Labels carry
-  // travelled grid distance; no segment store is consulted, so a
-  // relaxation costs a handful of integer operations.
-  ++search.epoch;
-  auto label_of = [&](StripId id) -> Label& {
-    const std::size_t idx = static_cast<std::size_t>(id);
-    Label& label = search.labels[idx];
-    if (search.label_epoch[idx] != search.epoch) {
-      search.label_epoch[idx] = search.epoch;
-      label.arrival = kInfiniteTime;
-      label.entry_pos = -1;
-      label.pred = kInvalidStrip;
-      label.pred_exit_pos = -1;
-      label.settled = false;
-      label.pred_leg.clear();
-    }
-    return label;
-  };
+  // ---- Phase 1: probe-free static A* over the strip graph, one label per
+  // strip. Labels carry travelled grid distance; no segment store is
+  // consulted, so a relaxation costs a handful of integer operations.
+  search.BeginPass();
   auto lower_bound = [&](GridCoord cell) -> TimeStep {
     return ManhattanDistance(cell, destination);
   };
@@ -271,57 +291,61 @@ std::optional<SrpPath> SrpPlanner::StaticFirstPlan(
     return options_.use_goal_heuristic ? weighted(lower_bound(cell)) : 0;
   };
 
-  label_of(vo).arrival = 0;
-  label_of(vo).entry_pos = graph_.strip(vo).PositionOf(origin);
+  const std::int32_t origin_label = search.NewLabel(vo);
+  search[origin_label].arrival = 0;
+  search[origin_label].entry_pos = graph_.strip(vo).PositionOf(origin);
 
   // Ascending f, FIFO among equal f (see core/bucket_queue.h).
-  core::BucketQueue<StripId>& open = search.open;
-  open.Clear();
-  open.Push(heuristic(origin), 0, vo);
+  core::BucketQueue<std::int32_t>& open = search.open;
+  open.Push(heuristic(origin), 0, origin_label);
 
   std::int64_t settled_count = 0;
-  bool reached = false;
+  std::int32_t reached = -1;
   while (!open.empty()) {
-    const StripId u = open.Pop().payload;
-    Label& lu = label_of(u);
+    const std::int32_t ui = open.Pop().payload;
+    Label& lu = search[ui];
     if (lu.settled) continue;
     lu.settled = true;
     if (++settled_count > options_.max_strip_expansions) return std::nullopt;
-    if (u == vd) {
-      reached = true;
+    if (lu.strip == vd) {
+      reached = ui;
       break;
     }
+    // Relaxations may grow the pool: copy what they read of the label.
+    const StripId u = lu.strip;
+    const TimeStep arrival_u = lu.arrival;
+    const std::int64_t entry_u = lu.entry_pos;
     const Strip& strip_u = graph_.strip(u);
     // Bound of the settled strip's entry cell, shared by every edge's
     // detour prune.
     const bool detour_prune =
         options_.detour_slack >= 0 && options_.use_goal_heuristic;
     const TimeStep lb_u =
-        detour_prune ? lower_bound(strip_u.CellAt(lu.entry_pos)) : 0;
+        detour_prune ? lower_bound(strip_u.CellAt(entry_u)) : 0;
 
     graph_.ForEachEdgeInTube(
-        u, lu.entry_pos, destination, detour_prune ? options_.detour_slack : -1,
+        u, entry_u, destination, detour_prune ? options_.detour_slack : -1,
         [&](const StripEdge& edge) {
       const StripId v = edge.to;
-      Label& lv = label_of(v);
-      if (lv.settled) return;
       if (StoreOf(v) == nullptr) return;  // rack strips not traversed
 
       const std::span<const StripContact> contacts = graph_.ContactsOf(edge);
       const StripContact& contact =
           v == vd ? ContactNearestToTarget(
                         contacts, graph_.strip(vd).PositionOf(destination))
-                  : NearestContact(contacts, lu.entry_pos);
-      const std::int64_t hop_lb =
-          lu.entry_pos > contact.pos_u ? lu.entry_pos - contact.pos_u
-                                       : contact.pos_u - lu.entry_pos;
+                  : NearestContact(contacts, entry_u);
+      const Target target = TargetOf(search, v, contact.pos_v, 1);
+      if (!target.open) return;
+      const std::int64_t hop_lb = entry_u > contact.pos_u
+                                      ? entry_u - contact.pos_u
+                                      : contact.pos_u - entry_u;
       // Popularity bias: strips that accumulated many segments are busy
       // corridors; a small penalty steers the static chain around them,
       // raising the timing pass's success rate.
       const std::int64_t congestion =
           static_cast<std::int64_t>(StoreOf(v)->size()) / 48;
-      const TimeStep dist_v = lu.arrival + hop_lb + 1 + congestion;
-      if (dist_v >= lv.arrival) return;
+      const TimeStep dist_v = arrival_u + hop_lb + 1 + congestion;
+      if (dist_v >= target.bound) return;
 
       // One bound per surviving edge, shared by the detour prune and the
       // open-list key.
@@ -334,14 +358,17 @@ std::optional<SrpPath> SrpPlanner::StaticFirstPlan(
         if (detour > options_.detour_slack) return;
       }
 
+      const std::int32_t vi =
+          target.label >= 0 ? target.label : search.NewLabel(v);
+      Label& lv = search[vi];
       lv.arrival = dist_v;
       lv.entry_pos = contact.pos_v;
-      lv.pred = u;
+      lv.pred = ui;
       lv.pred_exit_pos = contact.pos_u;
-      open.Push(dist_v + weighted(lb_v), 0, v);
+      open.Push(dist_v + weighted(lb_v), 0, vi);
     });
   }
-  if (!reached) return std::nullopt;
+  if (reached < 0) return std::nullopt;
 
   // Reconstruct the chain (strip, entry, exit) from vo to vd.
   struct Hop {
@@ -351,13 +378,11 @@ std::optional<SrpPath> SrpPlanner::StaticFirstPlan(
   };
   std::vector<Hop> chain;
   {
-    StripId at = vd;
     std::int64_t exit_pos = -1;
-    while (at != kInvalidStrip) {
-      Label& l = label_of(at);
-      chain.push_back(Hop{at, l.entry_pos, exit_pos});
+    for (std::int32_t at = reached; at >= 0; at = search[at].pred) {
+      const Label& l = search[at];
+      chain.push_back(Hop{l.strip, l.entry_pos, exit_pos});
       exit_pos = l.pred_exit_pos;
-      at = l.pred;
     }
     std::reverse(chain.begin(), chain.end());
   }
@@ -394,39 +419,28 @@ std::optional<SrpPath> SrpPlanner::StaticFirstPlan(
   return path;
 }
 
-std::optional<SrpPath> SrpPlanner::InterStripSearch(
-    Search& search, TimeStep start, GridCoord origin,
-    GridCoord destination) const {
+SrpPlanner::PassResult SrpPlanner::InterStripSearch(
+    Search& search, TimeStep start, GridCoord origin, GridCoord destination,
+    int max_entries, std::int64_t& budget) const {
   const bool timed = options_.enable_time_breakdown && search.allow_timing;
   if (timed) inter_watch_.Start();
-  auto stop_watch = [&]() {
+  PassResult result;
+  auto finish = [&](PassEnd end) {
     if (timed) inter_watch_.Stop();
+    result.end = end;
+    return std::move(result);
   };
 
   const StripId vo = graph_.StripOf(origin);
   const StripId vd = graph_.StripOf(destination);
   if (StoreOf(vo) == nullptr || StoreOf(vd) == nullptr) {
-    stop_watch();
-    return std::nullopt;
+    return finish(PassEnd::kExhausted);
   }
 
-  ++search.epoch;
-  auto label_of = [&](StripId id) -> Label& {
-    const std::size_t idx = static_cast<std::size_t>(id);
-    Label& label = search.labels[idx];
-    if (search.label_epoch[idx] != search.epoch) {
-      search.label_epoch[idx] = search.epoch;
-      label.arrival = kInfiniteTime;
-      label.entry_pos = -1;
-      label.pred = kInvalidStrip;
-      label.pred_exit_pos = -1;
-      label.settled = false;
-      label.pred_leg.clear();  // keeps capacity: no churn across queries
-    }
-    return label;
-  };
-  label_of(vo).arrival = start;
-  label_of(vo).entry_pos = graph_.strip(vo).PositionOf(origin);
+  search.BeginPass();
+  const std::int32_t origin_label = search.NewLabel(vo);
+  search[origin_label].arrival = start;
+  search[origin_label].entry_pos = graph_.strip(vo).PositionOf(origin);
 
   auto lower_bound = [&](GridCoord cell) -> TimeStep {
     return ManhattanDistance(cell, destination);
@@ -441,28 +455,26 @@ std::optional<SrpPath> SrpPlanner::InterStripSearch(
   };
 
   // Same (f asc, FIFO) order as StaticFirstPlan.
-  core::BucketQueue<StripId>& open = search.open;
-  open.Clear();
-  open.Push(start + heuristic(origin), 0, vo);
+  core::BucketQueue<std::int32_t>& open = search.open;
+  open.Push(start + heuristic(origin), 0, origin_label);
 
   std::int64_t settled_count = 0;
   int final_leg_failures = 0;
   while (!open.empty()) {
-    const StripId u = open.Pop().payload;
-    Label& lu = label_of(u);
+    const std::int32_t ui = open.Pop().payload;
+    Label& lu = search[ui];
     if (lu.settled) continue;
-    // Stale queue entries can outlive a label that was reopened by a
+    // Stale queue entries can outlive a label that was reset by a
     // final-leg failure; skip them until a fresh relaxation arrives.
     if (lu.arrival >= kInfiniteTime) continue;
     lu.settled = true;
-    if (++settled_count > options_.max_strip_expansions) {
-      stop_watch();
-      return std::nullopt;
-    }
+    ++settled_count;
+    if (--budget < 0) return finish(PassEnd::kSettledCap);
     search.peak_search_bytes = std::max(
         search.peak_search_bytes,
         static_cast<std::size_t>(settled_count) * (sizeof(Label) + 96) +
             open.size() * kOpenEntryBytes);
+    const StripId u = lu.strip;
     const Strip& strip_u = graph_.strip(u);
 
     if (u == vd) {
@@ -475,23 +487,23 @@ std::optional<SrpPath> SrpPlanner::InterStripSearch(
       if (!final_plan.has_value()) {
         // The entry we reached the destination strip through cannot reach
         // the destination grid (e.g. head-on traffic inside the strip).
-        // Reopen the strip and keep searching for a different entry
-        // instead of escalating straight to the A* fallback.
+        // Free the label and keep searching for a different entry instead
+        // of escalating straight to the A* fallback.
+        result.rescuable = true;
         if (++final_leg_failures > 8) {
-          stop_watch();
-          return std::nullopt;
+          return finish(PassEnd::kFinalLegGiveUp);
         }
         lu.arrival = kInfiniteTime;
         lu.entry_pos = -1;
-        lu.pred = kInvalidStrip;
+        lu.pred = -1;
         lu.settled = false;
         lu.pred_leg.clear();
         continue;
       }
 
-      // Reconstruct the chain of strips from vo to vd.
-      std::vector<StripId> chain;
-      for (StripId at = vd; at != kInvalidStrip; at = label_of(at).pred) {
+      // Reconstruct the chain of labels from vo to vd.
+      std::vector<std::int32_t> chain;
+      for (std::int32_t at = ui; at >= 0; at = search[at].pred) {
         chain.push_back(at);
       }
       std::reverse(chain.begin(), chain.end());
@@ -499,32 +511,33 @@ std::optional<SrpPath> SrpPlanner::InterStripSearch(
       SrpPath path;
       for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
         StripLeg leg;
-        leg.strip = chain[i];
-        leg.segments = label_of(chain[i + 1]).pred_leg;
+        leg.strip = search[chain[i]].strip;
+        leg.segments = search[chain[i + 1]].pred_leg;
         path.legs.push_back(std::move(leg));
       }
       StripLeg last;
       last.strip = vd;
       last.segments = std::move(final_plan->segments);
       path.legs.push_back(std::move(last));
-      stop_watch();
-      return path;
+      result.path = std::move(path);
+      return finish(PassEnd::kFound);
     }
 
+    // Relaxations may grow the pool: copy what they read of the label.
+    const TimeStep arrival_u = lu.arrival;
+    const std::int64_t entry_u = lu.entry_pos;
     // Bound of the settled entry cell (see StaticFirstPlan).
     const bool detour_prune =
         options_.detour_slack >= 0 && options_.use_goal_heuristic;
     const TimeStep lb_u =
-        detour_prune ? lower_bound(strip_u.CellAt(lu.entry_pos)) : 0;
+        detour_prune ? lower_bound(strip_u.CellAt(entry_u)) : 0;
 
     // Only edges inside the geodesic tube are visited (see
     // StripGraph::ForEachEdgeInTube); the exact test below still applies.
     graph_.ForEachEdgeInTube(
-        u, lu.entry_pos, destination, detour_prune ? options_.detour_slack : -1,
+        u, entry_u, destination, detour_prune ? options_.detour_slack : -1,
         [&](const StripEdge& edge) {
       const StripId v = edge.to;
-      Label& lv = label_of(v);
-      if (lv.settled) return;
       if (StoreOf(v) == nullptr) return;  // rack strips are not traversed
 
       // Greedy transit (Sec. VI): cross at the pair containing the source
@@ -534,15 +547,18 @@ std::optional<SrpPath> SrpPlanner::InterStripSearch(
       const StripContact& contact =
           v == vd ? ContactNearestToTarget(
                         contacts, graph_.strip(vd).PositionOf(destination))
-                  : NearestContact(contacts, lu.entry_pos);
-      const std::int64_t hop_lb =
-          lu.entry_pos > contact.pos_u ? lu.entry_pos - contact.pos_u
-                                       : contact.pos_u - lu.entry_pos;
+                  : NearestContact(contacts, entry_u);
+      const Target target = TargetOf(search, v, contact.pos_v, max_entries);
+      result.rescuable |= target.other_entry;
+      if (!target.open) return;
+      const std::int64_t hop_lb = entry_u > contact.pos_u
+                                      ? entry_u - contact.pos_u
+                                      : contact.pos_u - entry_u;
 
       // Relaxation pre-check: even a wait-free traversal cannot arrive in
       // v before this lower bound, so skip the (comparatively expensive)
       // intra-strip search when it cannot improve v's label.
-      if (lu.arrival + hop_lb + 1 >= lv.arrival) return;
+      if (arrival_u + hop_lb + 1 >= target.bound) return;
 
       // One bound per surviving edge, shared by the tube prune and the
       // open-list key.
@@ -557,7 +573,7 @@ std::optional<SrpPath> SrpPlanner::InterStripSearch(
       }
 
       if (timed) intra_watch_.Start();
-      auto intra = PlanWithinStrip(*StoreOf(u), lu.arrival, lu.entry_pos,
+      auto intra = PlanWithinStrip(*StoreOf(u), arrival_u, entry_u,
                                    contact.pos_u, options_.intra);
       if (timed) intra_watch_.Stop();
       if (!intra.has_value()) return;
@@ -569,21 +585,23 @@ std::optional<SrpPath> SrpPlanner::InterStripSearch(
       if (!tau.has_value()) return;
 
       const TimeStep arrival_v = *tau + 1;
-      if (arrival_v < lv.arrival) {
+      if (arrival_v < target.bound) {
+        const std::int32_t vi =
+            target.label >= 0 ? target.label : search.NewLabel(v);
+        Label& lv = search[vi];
         lv.arrival = arrival_v;
         lv.entry_pos = contact.pos_v;
-        lv.pred = u;
+        lv.pred = ui;
         lv.pred_leg = std::move(intra->segments);
         if (*tau > intra->arrival) {
           lv.pred_leg.push_back(geometry::Segment(
               {intra->arrival, contact.pos_u}, {*tau, contact.pos_u}));
         }
-        open.Push(arrival_v + weighted(lb_v), 0, v);
+        open.Push(arrival_v + weighted(lb_v), 0, vi);
       }
     });
   }
-  stop_watch();
-  return std::nullopt;
+  return finish(PassEnd::kExhausted);
 }
 
 void SrpPlanner::CommitPath(const SrpPath& path) {
@@ -884,8 +902,31 @@ std::optional<SrpPlanner::Planned> SrpPlanner::PlanQuery(
     if (timed) inter_watch_.Stop();
     if (path.has_value()) ++stats.static_path_hits;
   }
+  // The settle cap, unless a pass ran dry or gave up on its final leg.
+  core::FallbackReason reason = core::FallbackReason::kSettledCap;
   if (!path.has_value()) {
-    path = InterStripSearch(search, *start, origin, destination);
+    // The first pass keeps one label per strip (Alg. 4). When it fails in
+    // a way more entries could mend, the rescue pass reruns the search with
+    // up to kRescueEntriesPerStrip entries per strip on the settle budget
+    // the first pass left (DESIGN.md §2a).
+    std::int64_t budget = options_.max_strip_expansions;
+    PassResult first =
+        InterStripSearch(search, *start, origin, destination, 1, budget);
+    path = std::move(first.path);
+    if (first.end == PassEnd::kExhausted && !first.rescuable) {
+      reason = core::FallbackReason::kFirstPassExhausted;
+    } else if (!path.has_value() && first.end != PassEnd::kSettledCap) {
+      PassResult rescue = InterStripSearch(search, *start, origin,
+                                           destination,
+                                           kRescueEntriesPerStrip, budget);
+      path = std::move(rescue.path);
+      if (path.has_value()) ++stats.rescues;
+      if (rescue.end == PassEnd::kExhausted) {
+        reason = core::FallbackReason::kRescueExhausted;
+      } else if (rescue.end == PassEnd::kFinalLegGiveUp) {
+        reason = core::FallbackReason::kFinalLegGiveUp;
+      }
+    }
   }
   if (path.has_value()) {
     if (timed) conversion_watch_.Start();
@@ -895,6 +936,7 @@ std::optional<SrpPlanner::Planned> SrpPlanner::PlanQuery(
   }
 
   ++stats.fallbacks;
+  ++stats.fallback_reasons[static_cast<std::size_t>(reason)];
   auto route = FallbackPlan(search, stats, *start, origin, destination);
   if (!route.has_value()) {
     ++stats.failures;

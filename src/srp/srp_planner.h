@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -59,14 +60,15 @@ struct SrpPlannerOptions {
   /// Geodesic-tube pruning: skip relaxations whose lower-bounded cost plus
   /// heuristic exceeds the parent's by more than this slack (grids).
   /// Restricts the inter-strip search to near-shortest corridors — the
-  /// rare query needing a wide detour escalates to the (cheap) A*
-  /// fallback instead of flooding the strip graph. Negative disables.
+  /// rare query needing a wide detour escalates to the A* fallback
+  /// instead of flooding the strip graph. Negative disables.
   std::int64_t detour_slack = 6;
 
   /// Intra-strip backtracking budgets (Alg. 2).
   IntraPlanOptions intra;
 
-  /// Maximum strips settled per query before escalating to the fallback.
+  /// Maximum strip labels settled per query, by both strip passes
+  /// together, before escalating to the fallback.
   std::int64_t max_strip_expansions = 65'536;
 
   /// Maximum wait at a strip's exit cell for a boundary crossing to clear.
@@ -121,11 +123,12 @@ struct SrpTimeBreakdown {
 /// Given a warehouse matrix, aggregates grids into strips once (Alg. 1),
 /// then serves online CARP queries by inter-strip shortest-path search
 /// (Alg. 4) whose edge weights are produced on demand by intra-strip
-/// segment planning (Alg. 2) over per-strip segment stores. Queries that
-/// the restricted search space cannot serve (Sec. VI: no backward moves
-/// within strips, greedy transits) escalate to a space-time A* fallback
-/// over the same segment state — the paper reports this happens on the
-/// order of 1e-5 of queries.
+/// segment planning (Alg. 2) over per-strip segment stores. When that
+/// search fails, a rescue pass reruns it with several labels per strip
+/// (DESIGN.md §2a); queries neither pass can serve (Sec. VI: no backward
+/// moves within strips, greedy transits) escalate to a space-time A*
+/// fallback over the same segment state — the paper reports this happens
+/// on the order of 1e-5 of queries.
 ///
 /// Implements the speculative query/commit split (core::Planner): all
 /// per-query search state (strip labels, epoch stamps, the fallback A*
@@ -258,11 +261,17 @@ class SrpPlanner final : public core::Planner {
   // one (f, tie-break, strip) record.
   static constexpr std::size_t kOpenEntryBytes = 24;
 
-  // Per-strip label of the inter-strip searches.
+  // Entries per strip the rescue pass may hold labels for (DESIGN.md §2a);
+  // the first pass holds one.
+  static constexpr int kRescueEntriesPerStrip = 4;
+
+  // A strip search label: the strip reached at entry position `entry_pos`
+  // at time `arrival`.
   struct Label {
     TimeStep arrival = kInfiniteTime;
     std::int64_t entry_pos = -1;
-    StripId pred = kInvalidStrip;
+    StripId strip = kInvalidStrip;
+    std::int32_t pred = -1;                   // pool index of the pred label
     std::int64_t pred_exit_pos = -1;          // static search: exit in pred
     std::vector<geometry::Segment> pred_leg;  // dynamic search: pred leg
     bool settled = false;
@@ -273,20 +282,27 @@ class SrpPlanner final : public core::Planner {
   /// so concurrent queries never share scratch state.
   struct Search {
     Search(const core::WarehouseMatrix& matrix, std::size_t strip_count)
-        : labels(strip_count),
-          label_epoch(strip_count, -1),
+        : entries(strip_count * kRescueEntriesPerStrip),
+          entry_count(strip_count, 0),
+          entry_epoch(strip_count, -1),
           fallback_engine(matrix) {}
 
-    // Per-query search labels, reused across queries via epoch stamping so
-    // a query touches only the strips it actually visits.
-    std::vector<Label> labels;
-    std::vector<std::int64_t> label_epoch;
+    // Labels of the running pass, pool[0, used). The pool keeps its labels
+    // (and their legs' capacity) across passes and queries.
+    std::vector<Label> pool;
+    std::size_t used = 0;
+    // Pool indices of strip s's labels: entries[s * K, s * K +
+    // entry_count[s]) with K = kRescueEntriesPerStrip, valid while
+    // entry_epoch[s] == epoch, so a pass touches only the strips it visits.
+    std::vector<std::int32_t> entries;
+    std::vector<std::uint8_t> entry_count;
+    std::vector<std::int64_t> entry_epoch;
     std::int64_t epoch = 0;
 
-    // Inter-strip open list (ascending f, FIFO among equal f); cleared
-    // (capacity kept) at each search, so steady-state queries do not
+    // Open list of pool indices (ascending f, FIFO among equal f); cleared
+    // (capacity kept) at each pass, so steady-state queries do not
     // reallocate it.
-    core::BucketQueue<StripId> open;
+    core::BucketQueue<std::int32_t> open;
 
     // Peak per-query search footprint (labels + fallback A* sets), the
     // runtime-space component of the paper's MC metric.
@@ -298,14 +314,80 @@ class SrpPlanner final : public core::Planner {
     // stopwatches — true only for the serial workspace.
     bool allow_timing = false;
 
+    // Starts a pass: no labels, empty open list.
+    void BeginPass() {
+      ++epoch;
+      used = 0;
+      open.Clear();
+    }
+
+    // Pool indices of `strip`'s labels in the running pass.
+    std::span<std::int32_t> EntriesOf(StripId strip) {
+      const std::size_t s = static_cast<std::size_t>(strip);
+      if (entry_epoch[s] != epoch) {
+        entry_epoch[s] = epoch;
+        entry_count[s] = 0;
+      }
+      return {entries.data() + s * kRescueEntriesPerStrip, entry_count[s]};
+    }
+
+    // Adds a fresh label for `strip`, which must have a free entry slot.
+    std::int32_t NewLabel(StripId strip) {
+      EntriesOf(strip);  // re-arms the strip's slots on its first visit
+      const std::size_t s = static_cast<std::size_t>(strip);
+      const std::int32_t index = static_cast<std::int32_t>(used++);
+      entries[s * kRescueEntriesPerStrip + entry_count[s]++] = index;
+      if (used > pool.size()) pool.emplace_back();
+      Label& label = pool[static_cast<std::size_t>(index)];
+      label.arrival = kInfiniteTime;
+      label.entry_pos = -1;
+      label.strip = strip;
+      label.pred = -1;
+      label.pred_exit_pos = -1;
+      label.pred_leg.clear();  // keeps capacity: no churn across queries
+      label.settled = false;
+      return index;
+    }
+
+    Label& operator[](std::int32_t index) {
+      return pool[static_cast<std::size_t>(index)];
+    }
+
     // Re-arms the epoch stamps and footprint tracker (planner Reset). The
     // engine holds a matrix reference, so the workspace is not assignable.
     void ResetScratch() {
-      std::fill(label_epoch.begin(), label_epoch.end(), -1);
+      std::fill(entry_epoch.begin(), entry_epoch.end(), -1);
       epoch = 0;
+      used = 0;
       open.Clear();
       peak_search_bytes = 0;
     }
+  };
+
+  // The label a relaxation into entry `entry` of strip `strip` competes
+  // with: the strip's label at that entry, else a fresh one while the strip
+  // holds fewer than `max_entries` labels, else its unsettled label of
+  // latest arrival, which a winning relaxation overwrites. The relaxation
+  // must arrive before `bound` to win; `open` is false when the label it
+  // meets is settled. With `max_entries` = 1 this is Alg. 4's one label
+  // per strip.
+  struct Target {
+    std::int32_t label = -1;  // -1: a fresh label
+    TimeStep bound = kInfiniteTime;
+    bool open = true;
+    bool other_entry = false;  // the strip holds a label at another entry
+  };
+  static Target TargetOf(Search& search, StripId strip, std::int64_t entry,
+                         int max_entries);
+
+  // How a strip pass ended.
+  enum class PassEnd { kFound, kExhausted, kSettledCap, kFinalLegGiveUp };
+  struct PassResult {
+    std::optional<SrpPath> path;
+    PassEnd end = PassEnd::kExhausted;
+    // A relaxation met its target strip's label at another entry, or a
+    // final leg failed: a pass with more entries per strip may succeed.
+    bool rescuable = false;
   };
 
   struct Context;  // QueryContext wrapper around a Search (in the .cc)
@@ -333,10 +415,13 @@ class SrpPlanner final : public core::Planner {
                                    TimeStep now, GridCoord origin,
                                    GridCoord destination) const;
 
-  // Inter-strip search (Alg. 4). Returns the strip-level path on success.
-  std::optional<SrpPath> InterStripSearch(Search& search, TimeStep start,
-                                          GridCoord origin,
-                                          GridCoord destination) const;
+  // Inter-strip search (Alg. 4) keeping up to `max_entries` labels per
+  // strip, keyed by entry position. The first pass runs it with 1 (the
+  // paper's rule), the rescue pass with kRescueEntriesPerStrip. Every
+  // settled label spends one unit of `budget`.
+  PassResult InterStripSearch(Search& search, TimeStep start,
+                              GridCoord origin, GridCoord destination,
+                              int max_entries, std::int64_t& budget) const;
 
   // Static-first fast path: probe-free strip-chain search + timing pass.
   std::optional<SrpPath> StaticFirstPlan(Search& search, TimeStep start,

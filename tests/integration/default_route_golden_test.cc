@@ -92,8 +92,8 @@ INSTANTIATE_TEST_SUITE_P(
         Golden{"RP", 11001787390148023112ULL, 227989},
         Golden{"TWP", 6960769855112265647ULL, 228109},
         Golden{"ACP", 2328675491854859994ULL, 228040},
-        Golden{"SRP", 2423642477536876040ULL, 228286},
-        Golden{"SRP-indexed", 2423642477536876040ULL, 228286}),
+        Golden{"SRP", 17842876566572992843ULL, 228460},
+        Golden{"SRP-indexed", 17842876566572992843ULL, 228460}),
     [](const ::testing::TestParamInfo<Golden>& info) {
       std::string name = info.param.tag;
       for (char& c : name) {

@@ -2,6 +2,7 @@
 
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -114,6 +115,13 @@ struct WorkloadParam {
   bool use_index;
   TimeStep day_length;
 };
+
+// Without it gtest names the instances by a byte dump that includes the
+// struct's padding, so the test ids would change from build to build.
+void PrintTo(const WorkloadParam& p, std::ostream* os) {
+  *os << "{seed=" << p.seed << ", tasks=" << p.tasks
+      << ", index=" << p.use_index << ", day=" << p.day_length << "}";
+}
 
 class SrpWorkloadTest : public ::testing::TestWithParam<WorkloadParam> {};
 
@@ -351,6 +359,10 @@ TEST_P(SrpCrossStripSwapTest, RefusesOppositeCrossingAtSameStep) {
   auto route = planner.PlanRoute(0, b_, a_);
   ASSERT_TRUE(route.has_value());
   EXPECT_EQ(planner.stats().fallbacks, force_fallback ? 1 : 0);
+  // With no settle budget the rescue pass cannot run either.
+  EXPECT_EQ(planner.stats().FallbacksFor(core::FallbackReason::kSettledCap),
+            force_fallback ? 1 : 0);
+  EXPECT_EQ(planner.stats().rescues, 0);
   EXPECT_EQ(route->start_time(), 0);
   EXPECT_EQ(route->destination(), a_);
   EXPECT_NE(route->At(1), a_);
@@ -364,6 +376,155 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<bool>& info) {
       return info.param ? std::string("Fallback") : std::string("InterStrip");
     });
+
+// A three-row cross aisle (rows 2-4) between the origin row and a
+// one-lane spur down to the destination. The short way into the cross
+// aisle is its west end; the long way is its east end. Robots parked on
+// column 1 of all three rows wall the west end off from the spur:
+//
+//   row 0  ..o....    o origin (0, 2)
+//   row 1  .#####.
+//   row 2  .P.....    P parked robots (column 1, rows 2-4)
+//   row 3  .P.....
+//   row 4  .P.....
+//   row 5  ###.###
+//   row 6  ###d###    d destination (6, 3)
+//
+// Alg. 4 with one label per strip settles each cross-aisle row at its
+// west entry first, so the east entry is never tried and the first pass
+// runs dry. The rescue pass keeps a second entry per row and finds the
+// east way round.
+class SrpRescueTest : public ::testing::Test {
+ protected:
+  const core::WarehouseMatrix matrix_ = core::WarehouseMatrix::FromAscii(
+      ".......\n"
+      ".#####.\n"
+      ".......\n"
+      ".......\n"
+      ".......\n"
+      "###.###\n"
+      "###.###\n");
+  const GridCoord origin_{0, 2};
+  const GridCoord destination_{6, 3};
+
+  // Robots parked on `column` of the three cross-aisle rows for t in
+  // [0, until].
+  static std::vector<core::Route> Wall(std::int32_t column, TimeStep until) {
+    std::vector<core::Route> wall;
+    for (std::int32_t row = 2; row <= 4; ++row) {
+      wall.emplace_back(0, std::vector<GridCoord>(
+                               static_cast<std::size_t>(until + 1),
+                               GridCoord{row, column}));
+    }
+    return wall;
+  }
+};
+
+TEST_F(SrpRescueTest, RescuePassAnswersWhatTheFirstPassCannot) {
+  SrpPlanner planner(matrix_);
+  for (const core::Route& parked : Wall(1, 80)) planner.CommitRoute(parked);
+
+  auto route = planner.PlanRoute(0, origin_, destination_);
+  ASSERT_TRUE(route.has_value());
+  EXPECT_EQ(planner.stats().fallbacks, 0);
+  EXPECT_EQ(planner.stats().rescues, 1);
+  EXPECT_EQ(route->start_time(), 0);
+  EXPECT_EQ(route->destination(), destination_);
+  // East way round: 4 + 4 + 3 + 2 steps, no waiting.
+  EXPECT_EQ(route->end_time(), 13);
+  EXPECT_TRUE(route->IsKinematicallyValid(matrix_));
+  EXPECT_TRUE(RouteSetValidator::IsCollisionFree(planner.committed_routes()));
+  EXPECT_EQ(planner.CheckInvariants(), "");
+}
+
+TEST_F(SrpRescueTest, UnwalledQueryNeedsNoRescue) {
+  SrpPlanner planner(matrix_);
+  auto route = planner.PlanRoute(0, origin_, destination_);
+  ASSERT_TRUE(route.has_value());
+  EXPECT_EQ(planner.stats().rescues, 0);
+  EXPECT_EQ(planner.stats().fallbacks, 0);
+  EXPECT_EQ(route->end_time(), 11);  // west way round: 2 + 4 + 3 + 2
+}
+
+// Both ends walled off until t = 60: the rescue pass runs dry too, and the
+// A* fallback waits the walls out.
+TEST_F(SrpRescueTest, RescueExhaustedFallsBackToAStar) {
+  SrpPlanner planner(matrix_);
+  for (std::int32_t column : {1, 5}) {
+    for (const core::Route& parked : Wall(column, 60)) {
+      planner.CommitRoute(parked);
+    }
+  }
+  auto route = planner.PlanRoute(0, origin_, destination_);
+  ASSERT_TRUE(route.has_value());
+  EXPECT_EQ(planner.stats().rescues, 0);
+  EXPECT_EQ(planner.stats().fallbacks, 1);
+  EXPECT_EQ(
+      planner.stats().FallbacksFor(core::FallbackReason::kRescueExhausted), 1);
+  EXPECT_TRUE(RouteSetValidator::IsCollisionFree(planner.committed_routes()));
+}
+
+// Every FallbackReason is reachable and counted once per fallback.
+TEST(SrpFallbackReasonTest, FirstPassExhaustedSkipsTheRescue) {
+  // The origin's column strip has two exits, both parked on until t = 60.
+  // No strip is ever reached at a second entry, so a rescue pass would
+  // repeat the first one; the query goes straight to A*.
+  const core::WarehouseMatrix matrix = core::WarehouseMatrix::FromAscii(
+      ".....\n"
+      "#.#.#\n"
+      "#.#.#\n"
+      ".....\n");
+  SrpPlanner planner(matrix);
+  for (GridCoord cell : {GridCoord{0, 1}, GridCoord{3, 1}}) {
+    planner.CommitRoute(core::Route(0, std::vector<GridCoord>(61, cell)));
+  }
+  auto route = planner.PlanRoute(0, {1, 1}, {3, 4});
+  ASSERT_TRUE(route.has_value());
+  EXPECT_GT(route->end_time(), 60);
+  EXPECT_EQ(planner.stats().fallbacks, 1);
+  EXPECT_EQ(
+      planner.stats().FallbacksFor(core::FallbackReason::kFirstPassExhausted),
+      1);
+  EXPECT_EQ(planner.stats().rescues, 0);
+}
+
+TEST(SrpFallbackReasonTest, FinalLegGiveUp) {
+  // The destination is parked on for the whole query horizon, so every
+  // entry into its row fails the final leg; ten column strips feed the
+  // row, more than the 8 reopenings a pass allows.
+  const core::WarehouseMatrix matrix = core::WarehouseMatrix::FromAscii(
+      ".....................\n"
+      "#.#.#.#.#.#.#.#.#.#.#\n"
+      ".....................\n");
+  SrpPlannerOptions options;
+  options.detour_slack = -1;  // let every column strip reach the row
+  options.fallback.horizon = 64;
+  SrpPlanner planner(matrix, options);
+  const GridCoord destination{2, 10};
+  planner.CommitRoute(
+      core::Route(0, std::vector<GridCoord>(400, destination)));
+  EXPECT_FALSE(planner.PlanRoute(0, {0, 0}, destination).has_value());
+  EXPECT_EQ(planner.stats().fallbacks, 1);
+  EXPECT_EQ(
+      planner.stats().FallbacksFor(core::FallbackReason::kFinalLegGiveUp), 1);
+  EXPECT_EQ(planner.stats().failures, 1);
+}
+
+TEST(SrpFallbackReasonTest, MergeSumsReasonsAndRescues) {
+  core::PlannerStats a;
+  core::PlannerStats b;
+  for (std::size_t r = 0; r < core::kFallbackReasonCount; ++r) {
+    a.fallback_reasons[r] = static_cast<std::int64_t>(r + 1);
+    b.fallback_reasons[r] = static_cast<std::int64_t>(10 * (r + 1));
+  }
+  a.rescues = 2;
+  b.rescues = 5;
+  a.Merge(b);
+  for (std::size_t r = 0; r < core::kFallbackReasonCount; ++r) {
+    EXPECT_EQ(a.fallback_reasons[r], static_cast<std::int64_t>(11 * (r + 1)));
+  }
+  EXPECT_EQ(a.rescues, 7);
+}
 
 TEST(SrpSpeculationTest, QueryWithoutCommitLeavesPlannerUntouched) {
   layout::Warehouse warehouse =
