@@ -15,7 +15,7 @@ namespace {
 
 struct SrpRun {
   carp::srp::SrpTimeBreakdown breakdown;
-  carp::srp::SegmentStoreStats store_stats;
+  carp::core::PlannerStats stats;
   double total_tc = 0;
 };
 
@@ -34,7 +34,7 @@ SrpRun RunOneDay(const carp::layout::Warehouse& warehouse,
 
   SrpRun run;
   run.breakdown = planner.time_breakdown();
-  run.store_stats = planner.StoreStats();
+  run.stats = planner.stats();
   run.total_tc = metrics.total_tc_seconds;
   return run;
 }
@@ -91,9 +91,9 @@ int main(int argc, char** argv) {
                        "blocks skipped", "summary-pruned", "total TC (s)"});
     auto row = [&](const char* name, const SrpRun& r) {
       table.AddRow({name, FormatDouble(r.breakdown.intra_seconds, 4),
-                    std::to_string(r.store_stats.candidates_examined),
-                    std::to_string(r.store_stats.blocks_skipped),
-                    std::to_string(r.store_stats.candidates_pruned_by_summary),
+                    std::to_string(r.stats.candidates_examined),
+                    std::to_string(r.stats.blocks_skipped),
+                    std::to_string(r.stats.candidates_pruned_by_summary),
                     FormatDouble(r.total_tc, 4)});
     };
     row("w/o index, flat scan (Sec. V-B)", naive);
@@ -118,13 +118,13 @@ int main(int argc, char** argv) {
     };
     std::cout << "block summaries cut pairwise judgements by "
               << FormatDouble(
-                     pct_fewer(naive_blocked.store_stats.candidates_examined,
-                               naive.store_stats.candidates_examined),
+                     pct_fewer(naive_blocked.stats.candidates_examined,
+                               naive.stats.candidates_examined),
                      1)
               << "% (naive store) / "
               << FormatDouble(
-                     pct_fewer(indexed_blocked.store_stats.candidates_examined,
-                               indexed.store_stats.candidates_examined),
+                     pct_fewer(indexed_blocked.stats.candidates_examined,
+                               indexed.stats.candidates_examined),
                      1)
               << "% (indexed store).\n";
   }

@@ -68,9 +68,9 @@ struct PlannerStats {
   std::int64_t heuristic_prefetch_late = 0;
   double heuristic_build_seconds = 0;
   double heuristic_prefetch_build_seconds = 0;
-  // SRP collision kernel (aggregated over all segment stores; see
-  // SegmentStoreStats): pairwise predicate evaluations, block-summary
-  // skip/scan balance, and candidates excluded without a predicate call.
+  // SRP collision kernel (see SegmentStoreStats), counted by each query's
+  // store probes: pairwise predicate evaluations, block-summary skip/scan
+  // balance, and candidates excluded without a predicate call.
   std::int64_t candidates_examined = 0;
   std::int64_t blocks_scanned = 0;
   std::int64_t blocks_skipped = 0;
@@ -88,14 +88,14 @@ struct PlannerStats {
   std::int64_t shard_lock_contentions = 0;
   std::int64_t shard_commit_retries = 0;
   /// Survivor-scan kernel the segment stores resolved to — a label, not a
-  /// counter (untouched by Merge; the owning planner overlays it).
+  /// counter (untouched by Merge; set by the owning planner).
   CollisionKernel collision_kernel = CollisionKernel::kScalar;
   // Always astar (see core/search_engine.h); deleted with the next
   // benchmark change.
   SearchEngine search_engine = SearchEngine::kAstar;
   /// Time buckets the collision state physically erased (emptied by
-  /// release or dropped by prune). Overlaid by the owning planner from its
-  /// live structures (untouched by Merge).
+  /// release or dropped by prune): counted by SRP's release and prune
+  /// paths, overlaid by the grid planners from their reservation table.
   std::int64_t buckets_erased = 0;
 
   std::int64_t FallbacksFor(FallbackReason reason) const {
@@ -111,8 +111,9 @@ struct PlannerStats {
                      static_cast<double>(speculative_routes);
   }
 
-  /// Field-wise accumulation (used when per-worker query counters are
-  /// folded back into the planner after a parallel batch).
+  /// Field-wise sum of every counter; the labels (collision_kernel,
+  /// search_engine) are left alone. Used when per-worker query counters
+  /// are folded back into the planner after a parallel batch.
   void Merge(const PlannerStats& other) {
     queries += other.queries;
     failures += other.failures;
@@ -129,6 +130,14 @@ struct PlannerStats {
     speculative_invalidated += other.speculative_invalidated;
     routes_released += other.routes_released;
     routes_pruned += other.routes_pruned;
+    heuristic_hits += other.heuristic_hits;
+    heuristic_misses += other.heuristic_misses;
+    heuristic_evictions += other.heuristic_evictions;
+    heuristic_rebuilds += other.heuristic_rebuilds;
+    heuristic_bytes += other.heuristic_bytes;
+    heuristic_prefetch_late += other.heuristic_prefetch_late;
+    heuristic_build_seconds += other.heuristic_build_seconds;
+    heuristic_prefetch_build_seconds += other.heuristic_prefetch_build_seconds;
     candidates_examined += other.candidates_examined;
     blocks_scanned += other.blocks_scanned;
     blocks_skipped += other.blocks_skipped;
@@ -138,6 +147,7 @@ struct PlannerStats {
     shard_commits += other.shard_commits;
     shard_lock_contentions += other.shard_lock_contentions;
     shard_commit_retries += other.shard_commit_retries;
+    buckets_erased += other.buckets_erased;
   }
 
   /// Fraction of sharded commits whose lock sweep hit a held shard — the

@@ -110,8 +110,8 @@ bool LineIndex::Remove(std::int64_t key, const PackedSegment& segment) {
 void LineIndex::PruneBefore(TimeStep t) {
   // Rebuild over the survivors (live and not yet expired) in one pass,
   // like the eager compaction in SortedSegments.
-  buckets_erased_ += CountDyingBuckets(
-      [&](std::size_t i) { return IsLive(i) && t1_[i] >= t; });
+  NoteBucketsErased(CountDyingBuckets(
+      [&](std::size_t i) { return IsLive(i) && t1_[i] >= t; }));
   std::size_t w = 0;
   for (std::size_t i = 0; i < slot_count(); ++i) {
     if (!IsLive(i) || t1_[i] < t) continue;
@@ -132,8 +132,8 @@ void LineIndex::PruneBefore(TimeStep t) {
 }
 
 void LineIndex::CompactLines(bool allow_shrink) {
-  buckets_erased_ +=
-      CountDyingBuckets([&](std::size_t i) { return IsLive(i); });
+  NoteBucketsErased(
+      CountDyingBuckets([&](std::size_t i) { return IsLive(i); }));
   std::size_t w = 0;
   for (std::size_t i = 0; i < slot_count(); ++i) {
     if (!IsLive(i)) continue;

@@ -102,9 +102,10 @@ class LineIndex {
   std::int64_t shrinks() const { return shrinks_; }
 
   /// Fully-dead equal-key runs erased so far by PruneBefore/compaction
-  /// passes. Before erasure such a bucket still occupies slots that bucket
-  /// scans must walk past for nothing — equal-key runs fully tombstoned
-  /// below the compaction threshold linger until the next prune.
+  /// passes with no ScopedStatsSink installed. Before erasure such a bucket
+  /// still occupies slots that bucket scans must walk past for nothing —
+  /// equal-key runs fully tombstoned below the compaction threshold linger
+  /// until the next prune.
   std::int64_t buckets_erased() const { return buckets_erased_; }
 
   void set_summary_pruning(bool enabled) { summary_pruning_ = enabled; }
@@ -145,6 +146,15 @@ class LineIndex {
   void RebuildBlock(std::size_t b);
   void RebuildBlocksFrom(std::size_t first);
   void CompactLines(bool allow_shrink);
+
+  // Into this thread's ScopedStatsSink, else into buckets_erased_.
+  void NoteBucketsErased(std::int64_t n) {
+    if (core::PlannerStats* sink = ScopedStatsSink::current()) {
+      sink->buckets_erased += n;
+    } else {
+      buckets_erased_ += n;
+    }
+  }
 
   /// Tombstone-flag base for a lane-kernel call on the block at `base`
   /// (null = every slot reads live; the key/time sentinels exclude tails).

@@ -13,6 +13,7 @@
 #include "common/logging.h"
 #include "common/types.h"
 #include "core/kernel_dispatch.h"
+#include "core/planner.h"
 #include "geometry/intersection.h"
 #include "geometry/segment.h"
 #include "srp/collision_kernel.h"
@@ -142,7 +143,8 @@ inline TimeStep PackedCollisionTime(const PackedSegment& s, std::int64_t ct0,
 }
 
 /// Per-query scan work, tallied locally by the collision kernels and folded
-/// into the shared SegmentStoreStats atomics once per query (NoteQuery).
+/// once per query (NoteQuery) into the thread's ScopedStatsSink, or into the
+/// store's own SegmentStoreStats atomics when none is installed.
 struct ScanCounters {
   std::int64_t examined = 0;           // packed-predicate evaluations
   std::int64_t blocks_scanned = 0;     // blocks whose slots were inspected
@@ -377,6 +379,28 @@ class SortedSegments {
 
 }  // namespace internal_store
 
+/// For the guard's lifetime, the stores count the work done on this thread
+/// (probe scans, erased line buckets) into `sink` with plain adds. A planner
+/// installs the stats of the query or lifecycle call it runs, so each
+/// counter has one writer (DESIGN.md §2b). Guards nest; a store used with
+/// none installed counts into its own counters (SegmentStore::stats()).
+class ScopedStatsSink {
+ public:
+  explicit ScopedStatsSink(core::PlannerStats& sink) : previous_(current_) {
+    current_ = &sink;
+  }
+  ~ScopedStatsSink() { current_ = previous_; }
+  ScopedStatsSink(const ScopedStatsSink&) = delete;
+  ScopedStatsSink& operator=(const ScopedStatsSink&) = delete;
+
+  /// This thread's innermost sink, or null.
+  static core::PlannerStats* current() { return current_; }
+
+ private:
+  static inline thread_local core::PlannerStats* current_ = nullptr;
+  core::PlannerStats* previous_;
+};
+
 /// Per-strip container of the space-time segments of committed routes.
 ///
 /// Both implementations answer the same question: does a candidate segment
@@ -447,10 +471,11 @@ class SegmentStore {
   virtual std::string CheckInvariants() const { return {}; }
 
   /// Snapshot of the collision-work and lifecycle counters. The query
-  /// counters are maintained with relaxed atomics because collision
-  /// queries are const and run concurrently during the speculative batch
-  /// query phase; the lifecycle counters are plain — mutations are always
-  /// single-threaded (commit/release/prune happen between query phases).
+  /// counters cover only probes made with no ScopedStatsSink installed (a
+  /// planner's queries tally into the planner instead); they are relaxed
+  /// atomics because such probes may still run concurrently. The lifecycle
+  /// counters are plain — mutations are always single-threaded
+  /// (commit/release/prune happen between query phases).
   SegmentStoreStats stats() const {
     SegmentStoreStats s;
     s.queries = query_count_.load(std::memory_order_relaxed);
@@ -479,8 +504,18 @@ class SegmentStore {
   }
 
  protected:
-  /// Folds one query's locally counted scan work into the shared counters.
+  /// Folds one query's locally counted scan work into this thread's sink,
+  /// or into the store's shared counters when none is installed.
   void NoteQuery(const internal_store::ScanCounters& sc) const {
+    if (core::PlannerStats* sink = ScopedStatsSink::current()) {
+      sink->candidates_examined += sc.examined;
+      sink->blocks_scanned += sc.blocks_scanned;
+      sink->blocks_skipped += sc.blocks_skipped;
+      sink->candidates_pruned_by_summary += sc.pruned_by_summary;
+      sink->kernel_lanes_processed += sc.lanes_processed;
+      sink->kernel_lanes_survived += sc.lanes_survived;
+      return;
+    }
     query_count_.fetch_add(1, std::memory_order_relaxed);
     if (sc.examined != 0) {
       candidate_count_.fetch_add(sc.examined, std::memory_order_relaxed);

@@ -96,6 +96,8 @@ SrpPlanner::SrpPlanner(const core::WarehouseMatrix& matrix,
                     options_.kernel);
     }
   }
+  // The label of the kernel every store resolved to (one options value).
+  stats_.collision_kernel = core::ResolveCollisionKernel(options_.kernel);
   // Resolve the effective fallback horizon without mutating the caller's
   // options: derive from the warehouse perimeter when unset, and floor it
   // there otherwise (a fallback that cannot cross the warehouse would turn
@@ -122,6 +124,7 @@ void SrpPlanner::Reset() {
   sharded_audit_due_ = false;
   route_log_.clear();
   stats_ = core::PlannerStats{};
+  stats_.collision_kernel = core::ResolveCollisionKernel(options_.kernel);
   prune_cutoff_ = 0;
   peak_segments_ = 0;
   serial_.ResetScratch();
@@ -157,32 +160,6 @@ SrpTimeBreakdown SrpPlanner::time_breakdown() const {
   b.inter_seconds =
       std::max(0.0, inter_watch_.elapsed_seconds() - b.intra_seconds);
   return b;
-}
-
-SegmentStoreStats SrpPlanner::StoreStats() const {
-  SegmentStoreStats total;
-  for (const auto& store : stores_) {
-    if (!store) continue;
-    const SegmentStoreStats s = store->stats();
-    total.queries += s.queries;
-    total.candidates_examined += s.candidates_examined;
-    total.blocks_scanned += s.blocks_scanned;
-    total.blocks_skipped += s.blocks_skipped;
-    total.candidates_pruned_by_summary += s.candidates_pruned_by_summary;
-    total.erases += s.erases;
-    total.pruned += s.pruned;
-    total.compactions += s.compactions;
-    total.tombstones += s.tombstones;
-    total.shrinks += s.shrinks;
-    total.by_line_tombstones += s.by_line_tombstones;
-    total.by_line_compactions += s.by_line_compactions;
-    total.by_line_shrinks += s.by_line_shrinks;
-    total.lanes_processed += s.lanes_processed;
-    total.lanes_survived += s.lanes_survived;
-    total.buckets_erased += s.buckets_erased;
-    total.kernel = s.kernel;  // identical across stores (one options value)
-  }
-  return total;
 }
 
 std::optional<TimeStep> SrpPlanner::EarliestFreeStart(GridCoord cell,
@@ -626,6 +603,7 @@ void SrpPlanner::CommitPath(const SrpPath& path) {
 }
 
 void SrpPlanner::ReleasePath(const SrpPath& path) {
+  ScopedStatsSink sink(stats_);  // counts the line buckets Remove erases
   for (std::size_t i = 0; i < path.legs.size(); ++i) {
     const StripLeg& leg = path.legs[i];
     SegmentStore* store = StoreOf(leg.strip);
@@ -660,6 +638,7 @@ bool SrpPlanner::ReleaseRoute(const core::Route& route) {
 }
 
 std::size_t SrpPlanner::PruneBefore(TimeStep t) {
+  ScopedStatsSink sink(stats_);  // counts the line buckets pruning erases
   for (std::size_t s = 0; s < stores_.size(); ++s) {
     if (!stores_[s]) continue;
     const std::size_t pruned = stores_[s]->PruneBefore(t);
@@ -882,6 +861,7 @@ std::optional<core::Route> SrpPlanner::FallbackPlan(
 std::optional<SrpPlanner::Planned> SrpPlanner::PlanQuery(
     Search& search, core::PlannerStats& stats, TimeStep now, GridCoord origin,
     GridCoord destination) const {
+  ScopedStatsSink sink(stats);
   ++stats.queries;
   if (!matrix_.IsTraversable(origin) || !matrix_.IsTraversable(destination)) {
     ++stats.failures;

@@ -219,21 +219,11 @@ class SrpPlanner final : public core::Planner {
   /// the day's working-set peak even after all routes were released.
   std::size_t peak_segment_count() const { return peak_segments_; }
 
-  /// Committed-state counters plus live overlays of the segment stores'
-  /// collision-kernel counters (the stores count their own scans; the
-  /// planner view aggregates on read) and the shard locks' counters.
+  /// The planner's own counters plus an overlay of the shard locks' live
+  /// counters; O(1). The stores count into the stats of the call using
+  /// them (ScopedStatsSink), so nothing aggregates on read.
   const core::PlannerStats& stats() const override {
     stats_view_ = stats_;
-    const SegmentStoreStats ss = StoreStats();
-    stats_view_.candidates_examined = ss.candidates_examined;
-    stats_view_.blocks_scanned = ss.blocks_scanned;
-    stats_view_.blocks_skipped = ss.blocks_skipped;
-    stats_view_.candidates_pruned_by_summary =
-        ss.candidates_pruned_by_summary;
-    stats_view_.kernel_lanes_processed = ss.lanes_processed;
-    stats_view_.kernel_lanes_survived = ss.lanes_survived;
-    stats_view_.collision_kernel = ss.kernel;
-    stats_view_.buckets_erased = ss.buckets_erased;
     const ShardLockSet::Stats sl = shard_locks_.stats();
     stats_view_.shard_commits = sl.commits;
     stats_view_.shard_lock_contentions = sl.contentions;
@@ -242,10 +232,6 @@ class SrpPlanner final : public core::Planner {
   }
 
   SrpTimeBreakdown time_breakdown() const;
-
-  /// Aggregate collision-detection work across all strip stores
-  /// (Fig. 22b's ablation signal).
-  SegmentStoreStats StoreStats() const;
 
   /// Full lifecycle audit (DESIGN.md §2d). Replays committed_routes()
   /// through the canonical PathFromRoute decomposition, drops whatever
