@@ -36,9 +36,7 @@ struct BenchOptions {
   static BenchOptions Parse(int argc, char** argv, double default_scale) {
     static constexpr const char* kUsage =
         "options: --scale=F --days=N --threads=N --algos=A,B,... "
-        "--no-validate --retire\n"
-        "environment: CARP_FORCE_KERNEL=scalar|avx2 pins the SRP "
-        "survivor-scan kernel (default: cpuid)\n";
+        "--no-validate --retire\n";
     BenchOptions o;
     o.scale = default_scale;
     for (int i = 1; i < argc; ++i) {
@@ -145,12 +143,8 @@ inline void PrintRunSummary(const std::vector<sim::RunMetrics>& runs,
   TableWriter table({"day", "algorithm", "tasks", "TC(s)", "peak MC(MiB)",
                      "end MC(MiB)", "makespan(OG)", "failed", "fallbacks",
                      "speculated", "conflict-rate", "shard-cont%", "released",
-                     "live", "blk-skip%", "kernel", "lane-surv%",
-                     "collision-free"});
+                     "live", "blk-skip%", "collision-free"});
   for (const auto& r : runs) {
-    // The kernel column only means something for planners that batch
-    // store scans (SRP); baselines show "-".
-    const bool lanes = r.planner_stats.kernel_lanes_processed > 0;
     table.AddRow({std::to_string(r.day), r.algorithm,
                   std::to_string(r.total_tasks),
                   FormatDouble(r.total_tc_seconds, 3),
@@ -169,11 +163,6 @@ inline void PrintRunSummary(const std::vector<sim::RunMetrics>& runs,
                   std::to_string(r.routes_released),
                   std::to_string(r.end_live_routes),
                   FormatDouble(r.planner_stats.BlockSkipRate() * 100, 1),
-                  lanes ? core::ToString(r.planner_stats.collision_kernel)
-                        : "-",
-                  lanes ? FormatDouble(
-                              r.planner_stats.LaneUtilization() * 100, 1)
-                        : "-",
                   r.validated ? (r.collision_free ? "yes" : "NO") : "-"});
   }
   table.Print(os);
@@ -234,12 +223,6 @@ inline void WriteRunsJson(const std::string& path, const std::string& bench,
         << ", \"blocks_skipped\": " << r.planner_stats.blocks_skipped
         << ", \"candidates_pruned_by_summary\": "
         << r.planner_stats.candidates_pruned_by_summary
-        << ", \"collision_kernel\": \""
-        << core::ToString(r.planner_stats.collision_kernel) << "\""
-        << ", \"kernel_lanes_processed\": "
-        << r.planner_stats.kernel_lanes_processed
-        << ", \"kernel_lanes_survived\": "
-        << r.planner_stats.kernel_lanes_survived
         << ", \"shard_commits\": " << r.planner_stats.shard_commits
         << ", \"shard_lock_contentions\": "
         << r.planner_stats.shard_lock_contentions

@@ -1,27 +1,23 @@
 // Paired collision-kernel bench for the block-summarized SoA stores
-// (DESIGN.md §2f/§2g): per scenario, one synthetic strip population with
-// churn is loaded into both production stores under every kernel variant
-// — the flat legacy scan (trusted oracle) plus the two-level summary scan
-// under each survivor-scan kernel (scalar / avx2) — then an
+// (DESIGN.md §2f): per scenario, one synthetic strip population with churn
+// is loaded into both production stores twice — the flat legacy scan
+// (trusted oracle) and the two-level summary scan ("blocked") — then an
 // identical probe stream is answered by all of them. The pairing is exact:
 // every variant must return bit-identical collision times and occupancy
-// bits on every probe, and the blocked variants must agree on their exact
-// scan counters too; any divergence is a correctness bug, and with
+// bits on every probe; any divergence is a correctness bug, and with
 // --strict it fails the run.
 //
 // Two headline metrics:
 //  * pairwise collision judgements per query (candidates_examined), the
 //    quantity the paper's Sec. V-D complexity argument bounds — with
-//    --strict the W-2 row must show the blocked kernel cutting it by
+//    --strict the W-2 row must show the blocked scan cutting it by
 //    >= --min-reduction (default 30%) on both stores;
 //  * per-probe scan latency (p50/p99 over the probe stream, best-of-reps
-//    per probe), the quantity the lane kernels accelerate — the JSON
-//    records the avx2-vs-scalar per-probe speedup per store.
+//    per probe).
 //
 // Emits BENCH_segment_kernel.json. Usage:
 //   micro_segment_kernel [--scenarios=W-1,W-2,W-3] [--queries=N]
-//                        [--seed=S] [--scale=F] [--out=FILE]
-//                        [--kernel=scalar|avx2|auto] [--reps=R]
+//                        [--seed=S] [--scale=F] [--out=FILE] [--reps=R]
 //                        [--min-reduction=R] [--strict]
 
 #include <algorithm>
@@ -35,7 +31,6 @@
 
 #include "common/rng.h"
 #include "common/table_writer.h"
-#include "core/kernel_dispatch.h"
 #include "flags.h"
 #include "srp/segment_index.h"
 #include "srp/segment_store.h"
@@ -44,7 +39,6 @@
 namespace carp {
 namespace {
 
-using core::CollisionKernel;
 using geometry::Segment;
 using geometry::SpaceTimePoint;
 
@@ -95,20 +89,17 @@ Segment RandomStripSegment(Rng& rng, const StripWorkload& w) {
   return Segment({t0, p0}, {t0 + dur, p1});
 }
 
-/// One (store type x kernel) cell of the bench matrix.
+/// One (store type x scan) cell of the bench matrix.
 struct Variant {
-  std::string store;   // "naive" | "indexed"
-  std::string kernel;  // "flat" (oracle) or the resolved lane kernel name
+  std::string store;  // "naive" | "indexed"
   std::unique_ptr<srp::SegmentStore> ptr;
-  bool flat = false;
+  bool flat = false;  // the flat oracle scan, else the blocked scan
 
   // Exact counters of one probe-stream pass.
   std::int64_t examined = 0;
   std::int64_t blocks_scanned = 0;
   std::int64_t blocks_skipped = 0;
   std::int64_t summary_pruned = 0;
-  std::int64_t lanes_processed = 0;
-  std::int64_t lanes_survived = 0;
 
   // Per-probe scan latency (one collision probe + one point probe),
   // best-of-reps per probe, microseconds.
@@ -116,19 +107,11 @@ struct Variant {
   double p99_us = 0;
   double seconds = 0;  // one full timed pass (sum of best-of-reps)
 
+  const char* scan() const { return flat ? "flat" : "blocked"; }
   double ExaminedPerQuery(int queries) const {
     return static_cast<double>(examined) / std::max(1, queries);
   }
-  double LaneSurvivalPct() const {
-    return lanes_processed == 0 ? 0.0
-                                : 100.0 * static_cast<double>(lanes_survived) /
-                                      static_cast<double>(lanes_processed);
-  }
 };
-
-const char* KernelName(const srp::SegmentStore& s) {
-  return core::ToString(s.stats().kernel);
-}
 
 }  // namespace
 }  // namespace carp
@@ -141,20 +124,17 @@ int main(int argc, char** argv) {
   int query_count = 512;
   int reps = 9;
   std::uint64_t seed = 21;
-  // Default population scale: 4x the Table II per-strip share. The lane
-  // kernels accelerate the per-slot survivor scan, whose share of a probe
-  // only dominates once a few blocks survive the summary filter; at 1x the
-  // per-probe cost is mostly binary searches and the kernel dimension
-  // would measure timer noise.
+  // Default population scale: 4x the Table II per-strip share. The
+  // per-slot survivor scan only dominates a probe once a few blocks
+  // survive the summary filter; at 1x the per-probe cost is mostly binary
+  // searches and the latency columns would measure timer noise.
   double scale = 4.0;
   double min_reduction = 0.30;
   std::string out_path = "BENCH_segment_kernel.json";
-  std::string kernel_arg;
   bool strict = false;
   constexpr const char* kUsage =
       "options: --scenarios=W-1,W-2,W-3 --queries=N --seed=S --scale=F "
-      "--reps=R --kernel=scalar|avx2|auto --min-reduction=R --out=FILE "
-      "--strict\n";
+      "--reps=R --min-reduction=R --out=FILE --strict\n";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (const char* v = bench::FlagValue(arg, "--scenarios=")) {
@@ -169,8 +149,6 @@ int main(int argc, char** argv) {
       scale = std::atof(v);
     } else if (const char* v = bench::FlagValue(arg, "--min-reduction=")) {
       min_reduction = std::atof(v);
-    } else if (const char* v = bench::FlagValue(arg, "--kernel=")) {
-      kernel_arg = v;
     } else if (const char* v = bench::FlagValue(arg, "--out=")) {
       out_path = v;
     } else if (arg == "--strict") {
@@ -183,33 +161,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The kernel dimension: every kernel this host can honor, or the one
-  // requested. CARP_FORCE_KERNEL (honored inside store construction) and
-  // unsupported-AVX2 degradation can collapse requested kernels onto one
-  // another, so variants are labeled by the kernel each store *resolved*
-  // to and deduplicated afterwards.
-  std::vector<CollisionKernel> requested;
-  if (!kernel_arg.empty()) {
-    CollisionKernel k;
-    if (!core::ParseCollisionKernel(kernel_arg, &k)) {
-      std::cerr << "unknown --kernel value: " << kernel_arg
-                << " (expected scalar|avx2|auto)\n";
-      return 2;
-    }
-    requested.push_back(k);
-  } else {
-    requested = {CollisionKernel::kScalar, CollisionKernel::kAvx2};
-  }
-
-  std::cout << "=== segment-store collision kernels vs flat scan (paired) "
-               "===\n"
+  std::cout << "=== segment-store blocked scan vs flat scan (paired) ===\n"
             << "probes per scenario: " << query_count
             << "; population scale: " << scale << "; timing reps: " << reps
             << "\n\n";
 
-  TableWriter table({"scenario", "live n", "store", "kernel", "exam/q",
-                     "red", "blk-skip%", "lane-surv%", "p50(us)", "p99(us)",
-                     "ok"});
+  TableWriter table({"scenario", "live n", "store", "scan", "exam/q", "red",
+                     "blk-skip%", "p50(us)", "p99(us)", "ok"});
   std::ostringstream json_rows;
   bool violation = false;
   bool first_json_row = true;
@@ -218,29 +176,20 @@ int main(int argc, char** argv) {
     const auto scenario = workload::PaperScenario(name);
     const StripWorkload w = WorkloadFor(scenario, scale);
 
-    // Build the variant matrix: flat oracle + one blocked variant per
-    // resolved kernel, for each store type. The flat stores' scans never
-    // enter the lane path (summaries off), so the oracle is the scalar
-    // reference code no matter what CARP_FORCE_KERNEL says.
+    // The variant matrix: flat oracle + blocked scan, for each store type.
     std::vector<Variant> variants;
-    auto add = [&](const std::string& store, bool flat, CollisionKernel k) {
-      Variant v;
-      v.store = store;
-      v.flat = flat;
-      if (store == "naive") {
-        v.ptr = std::make_unique<srp::NaiveSegmentStore>(!flat, k);
-      } else {
-        v.ptr = std::make_unique<srp::IndexedSegmentStore>(!flat, k);
-      }
-      v.kernel = flat ? "flat" : KernelName(*v.ptr);
-      for (const Variant& have : variants) {
-        if (have.store == v.store && have.kernel == v.kernel) return;
-      }
-      variants.push_back(std::move(v));
-    };
     for (const char* store : {"naive", "indexed"}) {
-      add(store, /*flat=*/true, CollisionKernel::kScalar);
-      for (CollisionKernel k : requested) add(store, /*flat=*/false, k);
+      for (const bool flat : {true, false}) {
+        Variant v;
+        v.store = store;
+        v.flat = flat;
+        if (v.store == "naive") {
+          v.ptr = std::make_unique<srp::NaiveSegmentStore>(!flat);
+        } else {
+          v.ptr = std::make_unique<srp::IndexedSegmentStore>(!flat);
+        }
+        variants.push_back(std::move(v));
+      }
     }
 
     // Identical population with churn: build, release a third (the
@@ -287,7 +236,7 @@ int main(int argc, char** argv) {
         if (v.ptr->EarliestCollisionTime(p) != want ||
             v.ptr->OccupiedAt(p.start().pos, p.start().t) != want_occ) {
           agree = false;
-          std::cerr << name << " " << v.store << "/" << v.kernel
+          std::cerr << name << " " << v.store << "/" << v.scan()
                     << ": answer mismatch on probe " << p << "\n";
         }
       }
@@ -308,8 +257,6 @@ int main(int argc, char** argv) {
       v.blocks_scanned = st.blocks_scanned;
       v.blocks_skipped = st.blocks_skipped;
       v.summary_pruned = st.candidates_pruned_by_summary;
-      v.lanes_processed = st.lanes_processed;
-      v.lanes_survived = st.lanes_survived;
 
       // Latency pass: per-probe wall time, best of `reps` repetitions per
       // probe (denoises scheduler and cache interference on a busy host).
@@ -341,58 +288,17 @@ int main(int argc, char** argv) {
       for (double us : best_us) v.seconds += us * 1e-6;
     }
 
-    // Exact-parity audit across the blocked kernels: identical answers
-    // were already demanded above; the lane paths must also reproduce the
-    // scalar scan's work counters slot-for-slot.
-    for (const char* store : {"naive", "indexed"}) {
-      const Variant* base = nullptr;
-      for (const auto& v : variants) {
-        if (v.flat || v.store != store) continue;
-        if (base == nullptr) {
-          base = &v;
-          continue;
-        }
-        if (v.examined != base->examined ||
-            v.blocks_scanned != base->blocks_scanned ||
-            v.blocks_skipped != base->blocks_skipped ||
-            v.summary_pruned != base->summary_pruned) {
-          std::cerr << name << " " << store << ": counter divergence between "
-                    << base->kernel << " and " << v.kernel << " kernels\n";
-          ++mismatches;
-        }
-      }
-    }
     if (mismatches > 0) violation = true;
 
-    // Per-store reduction of the blocked kernel vs the flat oracle, and
-    // the avx2-vs-scalar per-probe speedup (when both ran).
-    auto find = [&](const std::string& store,
-                    const std::string& kernel) -> const Variant* {
-      for (const auto& v : variants) {
-        if (v.store == store && v.kernel == kernel) return &v;
-      }
-      return nullptr;
-    };
+    // Per-store reduction of the blocked scan vs the flat oracle
+    // (variants hold flat then blocked for naive, then for indexed).
     double reductions[2] = {0, 0};
-    double avx2_speedup[2] = {0, 0};
-    const char* store_names[2] = {"naive", "indexed"};
     for (int s = 0; s < 2; ++s) {
-      const Variant* flat = find(store_names[s], "flat");
-      const Variant* blocked = nullptr;
-      for (const auto& v : variants) {
-        if (!v.flat && v.store == store_names[s]) {
-          blocked = &v;
-          break;
-        }
-      }
-      if (flat != nullptr && blocked != nullptr && flat->examined > 0) {
-        reductions[s] = 1.0 - static_cast<double>(blocked->examined) /
-                                  static_cast<double>(flat->examined);
-      }
-      const Variant* sc = find(store_names[s], "scalar");
-      const Variant* av = find(store_names[s], "avx2");
-      if (sc != nullptr && av != nullptr && av->p50_us > 0) {
-        avx2_speedup[s] = sc->p50_us / av->p50_us;
+      const Variant& flat = variants[2 * s];
+      const Variant& blocked = variants[2 * s + 1];
+      if (flat.examined > 0) {
+        reductions[s] = 1.0 - static_cast<double>(blocked.examined) /
+                                  static_cast<double>(flat.examined);
       }
     }
 
@@ -414,14 +320,10 @@ int main(int argc, char** argv) {
               ? 100.0 * static_cast<double>(v.blocks_skipped) /
                     static_cast<double>(v.blocks_scanned + v.blocks_skipped)
               : 0.0;
-      table.AddRow({name, std::to_string(population), v.store, v.kernel,
+      table.AddRow({name, std::to_string(population), v.store, v.scan(),
                     FormatDouble(v.ExaminedPerQuery(query_count), 1),
                     v.flat ? "-" : FormatDouble(red * 100, 1) + "%",
-                    FormatDouble(skip, 1),
-                    v.lanes_processed > 0
-                        ? FormatDouble(v.LaneSurvivalPct(), 1)
-                        : "-",
-                    FormatDouble(v.p50_us, 3), FormatDouble(v.p99_us, 3),
+                    FormatDouble(skip, 1), FormatDouble(v.p50_us, 3), FormatDouble(v.p99_us, 3),
                     mismatches == 0 ? "yes" : "NO"});
     }
 
@@ -433,18 +335,14 @@ int main(int argc, char** argv) {
               << ", \"mismatches\": " << mismatches
               << ", \"naive_reduction\": " << reductions[0]
               << ", \"indexed_reduction\": " << reductions[1]
-              << ", \"naive_avx2_speedup_vs_scalar\": " << avx2_speedup[0]
-              << ", \"indexed_avx2_speedup_vs_scalar\": " << avx2_speedup[1]
               << ", \"variants\": [\n";
     for (std::size_t i = 0; i < variants.size(); ++i) {
       const Variant& v = variants[i];
-      json_rows << "      {\"store\": \"" << v.store << "\", \"kernel\": \""
-                << v.kernel << "\", \"examined\": " << v.examined
+      json_rows << "      {\"store\": \"" << v.store << "\", \"scan\": \""
+                << v.scan() << "\", \"examined\": " << v.examined
                 << ", \"blocks_scanned\": " << v.blocks_scanned
                 << ", \"blocks_skipped\": " << v.blocks_skipped
                 << ", \"pruned_by_summary\": " << v.summary_pruned
-                << ", \"lanes_processed\": " << v.lanes_processed
-                << ", \"lanes_survived\": " << v.lanes_survived
                 << ", \"p50_us\": " << v.p50_us
                 << ", \"p99_us\": " << v.p99_us
                 << ", \"seconds\": " << v.seconds << "}"
@@ -458,15 +356,13 @@ int main(int argc, char** argv) {
   out << "{\n  \"bench\": \"segment_kernel\",\n  \"queries_per_scenario\": "
       << query_count << ",\n  \"population_scale\": " << scale
       << ",\n  \"timing_reps\": " << reps
-      << ",\n  \"min_reduction\": " << min_reduction
-      << ",\n  \"avx2_supported\": "
-      << (core::CpuSupportsAvx2() ? "true" : "false") << ",\n  \"rows\": [\n"
+      << ",\n  \"min_reduction\": " << min_reduction << ",\n  \"rows\": [\n"
       << json_rows.str() << "\n  ]\n}\n";
   std::cout << "\nwrote " << out_path << "\n";
 
   if (strict && violation) {
-    std::cerr << "--strict: mismatch vs oracle, counter divergence, or "
-                 "reduction below threshold\n";
+    std::cerr << "--strict: mismatch vs oracle or reduction below "
+                 "threshold\n";
     return 1;
   }
   return 0;

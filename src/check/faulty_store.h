@@ -26,13 +26,6 @@ enum class StoreFault {
   /// structural edit": the two-level kernel skips a block that still holds
   /// live segments and answers "free" where a route is committed.
   kStaleSummary,
-  /// Every Insert (once the store is large enough to carry a padded
-  /// partial tail) revives one sentinel-poisoned tail slot by cloning the
-  /// last real segment into it — the shape of "forgot to re-poison the
-  /// padding after a structural edit" (DESIGN.md §2g): a full-block lane
-  /// scan sees a phantom segment the scalar loop never visits, and the
-  /// tail-poisoning invariant audit flags the column structurally.
-  kCorruptSimdTail,
   /// Every 3rd re-insert of a previously removed segment is silently
   /// dropped — the shape of "a failed LNS repair's rollback lost part of
   /// the original route" (DESIGN.md §2i): fresh commits are untouched, so
@@ -56,33 +49,7 @@ enum class StoreFault {
 /// the only divergence from a trusted implementation is the fault itself.
 class FaultySegmentStore final : public srp::SegmentStore {
  public:
-  // The tail fault's phantom segment is only visible to the lane kernel,
-  // so that variant pins AVX2. Where AVX2 is unavailable (or
-  // CARP_FORCE_KERNEL=scalar overrides the pin) the store runs scalar and
-  // the fault is caught structurally instead: CheckInvariants' tail-
-  // poisoning audit flags the revived slot either way.
-  explicit FaultySegmentStore(StoreFault fault)
-      : fault_(fault),
-        inner_(/*summary_pruning=*/true,
-               fault == StoreFault::kCorruptSimdTail
-                   ? srp::CollisionKernel::kAvx2
-                   : srp::CollisionKernel::kAuto) {
-    if (fault_ == StoreFault::kCorruptSimdTail) {
-      // A sentinel tail only exists once the store spans more than one
-      // full block, and fuzzed populations equilibrate well below that.
-      // Ballast far outside the fuzzed time domain forces the padded
-      // multi-block regime while staying invisible to every differential
-      // check: it never time-overlaps a fuzzed probe, is never removed
-      // (Remove targets committed segments) and never pruned (cutoffs stay
-      // below the horizon), and size()/ForEachLive subtract it back out.
-      for (std::int64_t i = 0; i < 80; ++i) {
-        inner_.Insert(geometry::Segment({kBallastTime + 8 * i, i % 40},
-                                        {kBallastTime + 8 * i + 4,
-                                         i % 40 + 4}));
-        ++ballast_;
-      }
-    }
-  }
+  explicit FaultySegmentStore(StoreFault fault) : fault_(fault) {}
 
   void Insert(const geometry::Segment& segment) override {
     if (fault_ == StoreFault::kGhostInsert && ++inserts_ % 5 == 0) return;
@@ -94,12 +61,6 @@ class FaultySegmentStore final : public srp::SegmentStore {
     inner_.Insert(segment);
     if (fault_ == StoreFault::kStaleSummary && ++inserts_ % 4 == 0) {
       inner_.CorruptSummaryForTest();
-    }
-    if (fault_ == StoreFault::kCorruptSimdTail) {
-      // Re-arm after every Insert: the corruption needs a padded partial
-      // tail to exist (no-op until the store grows past one block) and any
-      // later resize re-poisons it.
-      inner_.CorruptSimdTailForTest();
     }
   }
 
@@ -132,26 +93,19 @@ class FaultySegmentStore final : public srp::SegmentStore {
     return inner_.OccupiedAt(pos, t);
   }
 
-  std::size_t size() const override { return inner_.size() - ballast_; }
+  std::size_t size() const override { return inner_.size(); }
   std::size_t RetainedBytes() const override {
     return inner_.RetainedBytes();
   }
   void ForEachLive(const std::function<void(const geometry::Segment&)>& fn)
       const override {
-    inner_.ForEachLive([&fn](const geometry::Segment& s) {
-      if (s.start().t >= kBallastTime) return;  // hide the ballast
-      fn(s);
-    });
+    inner_.ForEachLive(fn);
   }
   std::string CheckInvariants() const override {
     return inner_.CheckInvariants();
   }
 
  private:
-  /// Start time of the kCorruptSimdTail ballast — far past any fuzzed
-  /// probe, prune cutoff, or committed segment.
-  static constexpr TimeStep kBallastTime = 100'000;
-
   static std::uint64_t SegmentKey(const geometry::Segment& s) {
     const auto mix = [](std::uint64_t x) {
       x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -171,7 +125,6 @@ class FaultySegmentStore final : public srp::SegmentStore {
   std::int64_t inserts_ = 0;
   std::int64_t removes_ = 0;
   std::int64_t reinserts_ = 0;
-  std::size_t ballast_ = 0;
   std::unordered_set<std::uint64_t> removed_keys_;
 };
 

@@ -69,35 +69,19 @@ class OpLog {
 
 std::vector<NamedStoreFactory> DefaultStoreFactories() {
   // Both production stores across both scan modes (block-summary two-level
-  // vs the flat legacy scan) and both extreme survivor kernels (the scalar
-  // oracle vs the widest lane kernel). An explicit kAvx2 request degrades
-  // to scalar on hosts without AVX2, so the matrix is safe — if weaker —
-  // everywhere. Fuzzing the full cross keeps every fast path
-  // answer-identical to the exhaustive flat scalar scan.
+  // vs the flat legacy scan), so the summary pass stays answer-identical
+  // to the exhaustive flat scan.
   std::vector<NamedStoreFactory> factories;
-  struct KernelChoice {
-    const char* tag;
-    srp::CollisionKernel kernel;
-  };
-  const KernelChoice kernels[] = {
-      {"scalar", srp::CollisionKernel::kScalar},
-      {"avx2", srp::CollisionKernel::kAvx2},
-  };
   for (const bool summaries : {true, false}) {
-    for (const KernelChoice& k : kernels) {
-      const std::string suffix =
-          std::string(summaries ? "" : "-nosummaries") + "-" + k.tag;
-      factories.push_back(
-          {"naive" + suffix, [summaries, k] {
-             return std::make_unique<srp::NaiveSegmentStore>(summaries,
-                                                             k.kernel);
-           }});
-      factories.push_back(
-          {"indexed" + suffix, [summaries, k] {
-             return std::make_unique<srp::IndexedSegmentStore>(summaries,
-                                                               k.kernel);
-           }});
-    }
+    const std::string suffix = summaries ? "" : "-nosummaries";
+    factories.push_back({"naive" + suffix, [summaries] {
+                           return std::make_unique<srp::NaiveSegmentStore>(
+                               summaries);
+                         }});
+    factories.push_back({"indexed" + suffix, [summaries] {
+                           return std::make_unique<srp::IndexedSegmentStore>(
+                               summaries);
+                         }});
   }
   return factories;
 }

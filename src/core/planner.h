@@ -75,9 +75,9 @@ struct PlannerStats {
   std::int64_t blocks_scanned = 0;
   std::int64_t blocks_skipped = 0;
   std::int64_t candidates_pruned_by_summary = 0;
-  // SRP lane kernel (DESIGN.md §2g): slots evaluated by the AVX2
-  // survivor kernel and the subset that survived every lane prefilter
-  // (zero under the scalar kernel, which scans slot by slot).
+  // Always zero: the stores scan slot by slot and have no lane kernel.
+  // Kept, with LaneUtilization(), only because the frozen daybench/
+  // sources read them; deleted with the next benchmark change.
   std::int64_t kernel_lanes_processed = 0;
   std::int64_t kernel_lanes_survived = 0;
   // Sharded commit path (DESIGN.md §2h): routes committed concurrently
@@ -87,8 +87,8 @@ struct PlannerStats {
   std::int64_t shard_commits = 0;
   std::int64_t shard_lock_contentions = 0;
   std::int64_t shard_commit_retries = 0;
-  /// Survivor-scan kernel the segment stores resolved to — a label, not a
-  /// counter (untouched by Merge; set by the owning planner).
+  // Always scalar (see core/kernel_dispatch.h), a label untouched by
+  // Merge; deleted with the next benchmark change.
   CollisionKernel collision_kernel = CollisionKernel::kScalar;
   // Always astar (see core/search_engine.h); deleted with the next
   // benchmark change.
@@ -167,9 +167,7 @@ struct PlannerStats {
                             static_cast<double>(total);
   }
 
-  /// Fraction of lane-kernel slots that survived every vectorized
-  /// prefilter (and therefore reached the exact predicate). Low values
-  /// mean the lanes are doing the pruning work.
+  /// Always zero (see kernel_lanes_processed).
   double LaneUtilization() const {
     return kernel_lanes_processed == 0
                ? 0.0

@@ -1,7 +1,6 @@
 #include "srp/segment_index.h"
 
 #include <algorithm>
-#include <bit>
 #include <sstream>
 #include <utility>
 
@@ -82,10 +81,11 @@ void LineIndex::RebuildBlocksFrom(std::size_t first) {
 void LineIndex::Insert(std::int64_t key, const PackedSegment& segment) {
   std::size_t idx = LowerBoundKeyTime(key, segment.t0);
   while (idx < slot_count() && CompareSlot(idx, key, segment) <= 0) ++idx;
-  key_.Insert(idx, key);
-  t0_.Insert(idx, segment.t0);
-  t1_.Insert(idx, segment.t1);
-  if (!dead_.empty()) dead_.Insert(idx, 0);
+  const auto at = static_cast<std::ptrdiff_t>(idx);
+  key_.insert(key_.begin() + at, key);
+  t0_.insert(t0_.begin() + at, segment.t0);
+  t1_.insert(t1_.begin() + at, segment.t1);
+  if (!dead_.empty()) dead_.insert(dead_.begin() + at, 0);
   RebuildBlocksFrom(idx / kBlockSize);
 }
 
@@ -93,7 +93,7 @@ bool LineIndex::Remove(std::int64_t key, const PackedSegment& segment) {
   for (std::size_t i = LowerBoundKeyTime(key, segment.t0);
        i < slot_count() && CompareSlot(i, key, segment) <= 0; ++i) {
     if (CompareSlot(i, key, segment) != 0 || !IsLive(i)) continue;
-    if (dead_.empty()) dead_.Assign(slot_count(), 0);
+    if (dead_.empty()) dead_.assign(slot_count(), 0);
     dead_[i] = 1;
     ++tombstones_;
     RebuildBlock(i / kBlockSize);
@@ -121,10 +121,10 @@ void LineIndex::PruneBefore(TimeStep t) {
     ++w;
   }
   if (w == slot_count() && dead_.empty()) return;  // nothing changed
-  key_.Resize(w);
-  t0_.Resize(w);
-  t1_.Resize(w);
-  dead_.Clear();
+  key_.resize(w);
+  t0_.resize(w);
+  t1_.resize(w);
+  dead_.clear();
   tombstones_ = 0;
   ++compactions_;
   RebuildBlocksFrom(0);
@@ -142,18 +142,18 @@ void LineIndex::CompactLines(bool allow_shrink) {
     t1_[w] = t1_[i];
     ++w;
   }
-  key_.Resize(w);
-  t0_.Resize(w);
-  t1_.Resize(w);
-  dead_.Clear();
+  key_.resize(w);
+  t0_.resize(w);
+  t1_.resize(w);
+  dead_.clear();
   tombstones_ = 0;
   ++compactions_;
   RebuildBlocksFrom(0);
   if (allow_shrink) {
-    bool shrank = key_.ShrinkIfSlack();
-    shrank = t0_.ShrinkIfSlack() || shrank;
-    shrank = t1_.ShrinkIfSlack() || shrank;
-    shrank = dead_.ShrinkIfSlack() || shrank;
+    bool shrank = ShrinkIfSlack(key_);
+    shrank = ShrinkIfSlack(t0_) || shrank;
+    shrank = ShrinkIfSlack(t1_) || shrank;
+    shrank = ShrinkIfSlack(dead_) || shrank;
     shrank = ShrinkIfSlack(blocks_) || shrank;
     if (shrank) ++shrinks_;
   }
@@ -169,18 +169,6 @@ TimeStep LineIndex::EarliestSameSlope(std::int64_t key, TimeStep ct0,
   // here on has key >= `key`.
   std::size_t i = LowerBoundKeyTime(key, cutoff);
   TimeStep earliest = kInfiniteTime;
-  // Lane kernels engage in summary mode with in-domain probe times; the
-  // first decisive bit (hit or stop) of a block mask reproduces the scalar
-  // walk exactly. Bits below the lower bound are masked off: such slots
-  // can spuriously read as stops (smaller key, later start), and the
-  // scalar loop never visits them. The key tail sentinel (+inf) reads as a
-  // stop, ending the scan at the logical end just as running off the
-  // array does.
-  std::int32_t ct0_32 = 0;
-  std::int32_t ct1_32 = 0;
-  const bool lanes = summary_pruning_ &&
-                     kernel_ == CollisionKernel::kAvx2 && key_.FullyPadded() &&
-                     NarrowToI32(ct0, &ct0_32) && NarrowToI32(ct1, &ct1_32);
   while (i < n) {
     const std::size_t b = i / kBlockSize;
     const std::size_t b_end = std::min((b + 1) * kBlockSize, n);
@@ -197,36 +185,6 @@ TimeStep LineIndex::EarliestSameSlope(std::int64_t key, TimeStep ct0,
       }
     }
     ++sc.blocks_scanned;
-    // Lanes only for block-aligned entries (b_end - i is not the scalar
-    // walk length — that ends at the first key change, and same-slope
-    // buckets are typically tiny). A scan enters a block at its boundary
-    // only after walking a whole previous block without a decisive slot,
-    // i.e. exactly when the bucket is long enough for lanes to pay off.
-    if (lanes && i == b * kBlockSize && b_end - i >= kMinLaneSpanAvx2) {
-      const std::size_t base = b * kBlockSize;
-      const LineForwardMasks m =
-          LineForwardAvx2(key_.data() + base, t0_.data() + base,
-                          t1_.data() + base, DeadPtr(base), key, ct0_32,
-                          ct1_32);
-      sc.lanes_processed += static_cast<std::int64_t>(kBlockSize);
-      const std::uint64_t from_i = ~std::uint64_t{0} << (i - base);
-      const std::uint64_t decisive = (m.hits | m.stops) & from_i;
-      if (decisive == 0) {
-        i = b_end;
-        continue;
-      }
-      const int d = std::countr_zero(decisive);
-      if ((m.hits >> d & 1) != 0) {
-        ++sc.examined;
-        ++sc.lanes_survived;
-        earliest = std::min(earliest,
-                            std::max(ct0, TimeStep{t0_[base + d]}));
-      }
-      // Either way the scan is over: a hit is the earliest conflict in
-      // summary mode (start times are monotone within the bucket), and a
-      // stop ends the bucket.
-      return earliest;
-    }
     for (; i < b_end; ++i) {
       // Bucket entries are ordered by start time and later slots only grow
       // in key, so either condition ends the whole scan.
@@ -250,17 +208,6 @@ bool LineIndex::Covers(std::int64_t key, TimeStep t,
   // or before t; every slot below the bound has key <= `key`.
   std::size_t i = UpperBoundKeyTime(key, t);
   const TimeStep cutoff = t - TimeStep{max_duration};
-  // Lane kernels engage under the same rule as the forward scan. The
-  // backward walk decides at the *highest* decisive bit below the upper
-  // bound, with the scalar precedence: a smaller key ends the scan before
-  // the slot is examined, a hit answers true, falling out of reach ends it
-  // after examination. Slots above the decider are exactly the ones the
-  // scalar loop examines and passes over.
-  std::int32_t t32 = 0;
-  std::int32_t cut32 = 0;
-  const bool lanes = summary_pruning_ &&
-                     kernel_ == CollisionKernel::kAvx2 && key_.FullyPadded() &&
-                     NarrowToI32(t, &t32) && NarrowToI32(cutoff, &cut32);
   std::size_t counted_block = slot_count() + 1;
   while (i > 0) {
     const std::size_t b = (i - 1) / kBlockSize;
@@ -278,42 +225,6 @@ bool LineIndex::Covers(std::int64_t key, TimeStep t,
     if (b != counted_block) {
       ++sc.blocks_scanned;
       counted_block = b;
-    }
-    // Mirror of the forward scan's gate: a backward walk reaches a block
-    // boundary (full span below) only after examining a whole block above
-    // without deciding, so partial first blocks stay on the cheap
-    // early-exit scalar walk.
-    if (lanes && i % kBlockSize == 0) {
-      const std::size_t base = b * kBlockSize;
-      const LineCoverMasks m =
-          LineCoverAvx2(key_.data() + base, t0_.data() + base,
-                        t1_.data() + base, DeadPtr(base), key, t32, cut32);
-      sc.lanes_processed += static_cast<std::int64_t>(kBlockSize);
-      const std::size_t in_block = i - base;  // 1..kBlockSize
-      const std::uint64_t below_i =
-          in_block >= 64 ? ~std::uint64_t{0}
-                         : (std::uint64_t{1} << in_block) - 1;
-      const std::uint64_t decisive =
-          (m.hits | m.key_below | m.below_reach) & below_i;
-      if (decisive == 0) {
-        // Every visited slot was an examined non-answer (all on-line, all
-        // within reach); continue into the previous block.
-        sc.examined += static_cast<std::int64_t>(in_block);
-        sc.lanes_survived += static_cast<std::int64_t>(in_block);
-        i = base;
-        continue;
-      }
-      const int d = 63 - std::countl_zero(decisive);
-      const std::int64_t above =
-          static_cast<std::int64_t>(in_block) - 1 - d;
-      if ((m.key_below >> d & 1) != 0) {
-        sc.examined += above;
-        sc.lanes_survived += above;
-        return false;
-      }
-      sc.examined += above + 1;
-      sc.lanes_survived += above + 1;
-      return (m.hits >> d & 1) != 0;
     }
     --i;
     if (key_[i] < key) return false;
@@ -337,15 +248,6 @@ std::string LineIndex::CheckInvariants() const {
   if (!dead_.empty() && dead_.size() != n) {
     err << "LineIndex: dead flag array has " << dead_.size() << " slots for "
         << n << " entries";
-    return err.str();
-  }
-  // Tail sentinels are answer-critical for the lane kernels: the key
-  // sentinel terminates forward bucket scans at the logical end, and the
-  // time sentinels keep padding slots out of every cover test.
-  if (!key_.TailIsPoisoned() || !t0_.TailIsPoisoned() ||
-      !t1_.TailIsPoisoned() || !dead_.TailIsPoisoned()) {
-    err << "LineIndex: padded tail slots past " << n
-        << " are not sentinel-poisoned";
     return err.str();
   }
   std::size_t dead_count = 0;
@@ -393,15 +295,11 @@ std::string LineIndex::CheckInvariants() const {
 
 }  // namespace internal_store
 
-IndexedSegmentStore::IndexedSegmentStore(bool summary_pruning,
-                                         CollisionKernel kernel) {
-  const CollisionKernel resolved = core::ResolveCollisionKernel(kernel);
+IndexedSegmentStore::IndexedSegmentStore(bool summary_pruning) {
   for (int slope = -1; slope <= 1; ++slope) {
     SlopeClass& cls = classes_[SlopeSlot(slope)];
     cls.all.set_summary_pruning(summary_pruning);
-    cls.all.set_kernel(resolved);
     cls.by_line.set_summary_pruning(summary_pruning);
-    cls.by_line.set_kernel(resolved);
     cls.by_line.set_slope(slope);
   }
 }
@@ -559,7 +457,6 @@ std::size_t IndexedSegmentStore::RetainedBytes() const {
 }
 
 void IndexedSegmentStore::AddStructureStats(SegmentStoreStats& s) const {
-  s.kernel = kernel();
   for (const auto& cls : classes_) {
     s.tombstones += static_cast<std::int64_t>(cls.all.tombstones() +
                                               cls.by_line.tombstones());

@@ -110,11 +110,6 @@ class LineIndex {
 
   void set_summary_pruning(bool enabled) { summary_pruning_ = enabled; }
 
-  /// Survivor-scan kernel for bucket scans (resolved, never kAuto); same
-  /// contract as SortedSegments::set_kernel.
-  void set_kernel(CollisionKernel kernel) { kernel_ = kernel; }
-  CollisionKernel kernel() const { return kernel_; }
-
   std::size_t RetainedBytes() const {
     return key_.capacity() * sizeof(std::int64_t) +
            (t0_.capacity() + t1_.capacity()) * sizeof(std::int32_t) +
@@ -156,20 +151,10 @@ class LineIndex {
     }
   }
 
-  /// Tombstone-flag base for a lane-kernel call on the block at `base`
-  /// (null = every slot reads live; the key/time sentinels exclude tails).
-  const std::uint8_t* DeadPtr(std::size_t base) const {
-    return dead_.empty() ? nullptr : dead_.data() + base;
-  }
-
-  // 64-byte-aligned columns physically padded to whole blocks with
-  // never-match sentinels (DESIGN.md §2g). The key tail sentinel is +inf:
-  // it reads as a correct *terminator* to the forward bucket scan (keys
-  // only grow) and as off-line to every equality test.
-  PaddedColumn<std::int64_t, kBlockSize> key_{LineBlock::kHi64};
-  PaddedColumn<std::int32_t, kBlockSize> t0_{LineBlock::kHi32};
-  PaddedColumn<std::int32_t, kBlockSize> t1_{LineBlock::kLo32};
-  PaddedColumn<std::uint8_t, kBlockSize> dead_{1};  // empty = no dead entries
+  std::vector<std::int64_t> key_;
+  std::vector<std::int32_t> t0_;
+  std::vector<std::int32_t> t1_;
+  std::vector<std::uint8_t> dead_;  // empty = no dead entries
   std::vector<LineBlock> blocks_;
   /// Counts the equal-key runs among the current slots with no surviving
   /// entry under `survives` (rebuild passes call it with their own keep
@@ -194,7 +179,6 @@ class LineIndex {
   std::int64_t shrinks_ = 0;
   std::int64_t buckets_erased_ = 0;
   bool summary_pruning_ = true;
-  CollisionKernel kernel_ = CollisionKernel::kScalar;
   int slope_ = 0;
 };
 
@@ -218,14 +202,7 @@ class IndexedSegmentStore final : public SegmentStore {
  public:
   /// `summary_pruning` false degrades every scan to the flat
   /// predicate-per-candidate form (paired benches / differential fuzzing).
-  /// `kernel` selects the survivor-scan implementation for all six
-  /// sequences; the default resolves via CPUID (and CARP_FORCE_KERNEL).
-  explicit IndexedSegmentStore(
-      bool summary_pruning = true,
-      CollisionKernel kernel = CollisionKernel::kAuto);
-
-  /// The kernel this store resolved to (never kAuto).
-  CollisionKernel kernel() const { return classes_[0].all.kernel(); }
+  explicit IndexedSegmentStore(bool summary_pruning = true);
 
   void Insert(const geometry::Segment& segment) override;
   bool Remove(const geometry::Segment& segment) override;

@@ -1,7 +1,6 @@
 #include "srp/segment_store.h"
 
 #include <algorithm>
-#include <bit>
 #include <sstream>
 
 namespace carp::srp {
@@ -56,7 +55,7 @@ std::size_t SortedSegments::UpperBoundSlot(const PackedSegment& s) const {
   return lo;
 }
 
-void SortedSegments::RebuildBlock(std::size_t b) {
+BlockSummary SortedSegments::Summarize(std::size_t b) const {
   BlockSummary bs;
   const std::size_t begin = b * kBlockSize;
   const std::size_t end = std::min(begin + kBlockSize, slot_count());
@@ -64,6 +63,8 @@ void SortedSegments::RebuildBlock(std::size_t b) {
     if (!IsLive(i)) continue;
     bs.min_t0 = std::min(bs.min_t0, t0_[i]);
     bs.max_t1 = std::max(bs.max_t1, t1_[i]);
+    std::int32_t& quarter = bs.quarter_max_t1[(i - begin) / kQuarterSize];
+    quarter = std::max(quarter, t1_[i]);
     bs.min_pos = std::min(bs.min_pos, std::min(p0_[i], p1_[i]));
     bs.max_pos = std::max(bs.max_pos, std::max(p0_[i], p1_[i]));
     const int s = SlotSlope(p0_[i], p1_[i]);
@@ -72,7 +73,7 @@ void SortedSegments::RebuildBlock(std::size_t b) {
     bs.max_key[s + 1] = std::max(bs.max_key[s + 1], key);
     ++bs.live;
   }
-  blocks_[b] = bs;
+  return bs;
 }
 
 void SortedSegments::RebuildBlocksFrom(std::size_t first) {
@@ -83,11 +84,12 @@ void SortedSegments::RebuildBlocksFrom(std::size_t first) {
 
 void SortedSegments::Insert(const PackedSegment& segment) {
   const std::size_t idx = UpperBoundSlot(segment);
-  t0_.Insert(idx, segment.t0);
-  p0_.Insert(idx, segment.p0);
-  t1_.Insert(idx, segment.t1);
-  p1_.Insert(idx, segment.p1);
-  if (!dead_.empty()) dead_.Insert(idx, 0);
+  const auto at = static_cast<std::ptrdiff_t>(idx);
+  t0_.insert(t0_.begin() + at, segment.t0);
+  p0_.insert(p0_.begin() + at, segment.p0);
+  t1_.insert(t1_.begin() + at, segment.t1);
+  p1_.insert(p1_.begin() + at, segment.p1);
+  if (!dead_.empty()) dead_.insert(dead_.begin() + at, 0);
   max_duration_ = std::max(max_duration_, segment.t1 - segment.t0);
   // Every block at and after the insertion point shifted by one slot; the
   // suffix rebuild is O(n) — the same asymptotics as the vector insert's
@@ -102,7 +104,7 @@ bool SortedSegments::Remove(const PackedSegment& segment) {
   for (std::size_t i = LowerBoundSlot(segment);
        i < slot_count() && CompareSlot(i, segment) == 0; ++i) {
     if (!IsLive(i)) continue;
-    if (dead_.empty()) dead_.Assign(slot_count(), 0);
+    if (dead_.empty()) dead_.assign(slot_count(), 0);
     dead_[i] = 1;
     ++tombstones_;
     RebuildBlock(i / kBlockSize);
@@ -116,7 +118,7 @@ std::size_t SortedSegments::PruneBefore(TimeStep t) {
   std::size_t dropped = 0;
   for (std::size_t i = 0; i < slot_count(); ++i) {
     if (t1_[i] < t && IsLive(i)) {
-      if (dead_.empty()) dead_.Assign(slot_count(), 0);
+      if (dead_.empty()) dead_.assign(slot_count(), 0);
       dead_[i] = 1;
       ++tombstones_;
       ++dropped;
@@ -152,11 +154,11 @@ void SortedSegments::Compact(bool allow_shrink) {
     max_dur = std::max(max_dur, t1_[i] - t0_[i]);
     ++w;
   }
-  t0_.Resize(w);
-  p0_.Resize(w);
-  t1_.Resize(w);
-  p1_.Resize(w);
-  dead_.Clear();
+  t0_.resize(w);
+  p0_.resize(w);
+  t1_.resize(w);
+  p1_.resize(w);
+  dead_.clear();
   tombstones_ = 0;
   max_duration_ = max_dur;
   ++compactions_;
@@ -165,11 +167,11 @@ void SortedSegments::Compact(bool allow_shrink) {
   // RetainedBytes tracks the live store rather than its historical peak
   // (threshold-triggered compactions only — see ShrinkIfSlack).
   if (allow_shrink) {
-    bool shrank = t0_.ShrinkIfSlack();
-    shrank = p0_.ShrinkIfSlack() || shrank;
-    shrank = t1_.ShrinkIfSlack() || shrank;
-    shrank = p1_.ShrinkIfSlack() || shrank;
-    shrank = dead_.ShrinkIfSlack() || shrank;
+    bool shrank = ShrinkIfSlack(t0_);
+    shrank = ShrinkIfSlack(p0_) || shrank;
+    shrank = ShrinkIfSlack(t1_) || shrank;
+    shrank = ShrinkIfSlack(p1_) || shrank;
+    shrank = ShrinkIfSlack(dead_) || shrank;
     shrank = ShrinkIfSlack(blocks_) || shrank;
     if (shrank) ++shrinks_;
   }
@@ -219,19 +221,6 @@ TimeStep SortedSegments::EarliestCollisionInRange(
     khi[s + 1] = std::max(a, b);
   }
 
-  // Lane kernels engage only in summary mode (flat mode is the scalar
-  // oracle) and only when the candidate's envelope narrows to the 32-bit
-  // coordinate domain — then every prefilter a lane evaluates equals the
-  // scalar loop's, slot for slot, so answers *and* counters are identical.
-  // The full-block loads are safe and exact without range masking: slots
-  // below the reach bound cannot overlap [ct0, ct1] in time, slots at or
-  // past `end` start after ct1, and padded tail slots hold never-match
-  // sentinels (DESIGN.md §2g).
-  SegmentProbe probe;
-  const bool lanes = summary_pruning_ &&
-                     kernel_ == CollisionKernel::kAvx2 && t0_.FullyPadded() &&
-                     BuildSegmentProbe(ct0, cp0, ct1, cp1, klo, khi, &probe);
-
   TimeStep earliest = kInfiniteTime;
   const std::size_t b_end = (end + kBlockSize - 1) / kBlockSize;
   for (std::size_t b = lo / kBlockSize; b < b_end; ++b) {
@@ -251,46 +240,43 @@ TimeStep SortedSegments::EarliestCollisionInRange(
       }
     }
     ++sc.blocks_scanned;
-    if (lanes && s_end - s_begin >= kMinLaneSpanAvx2) {
-      const std::size_t base = b * kBlockSize;
-      const SurvivorMasks m = SegmentSurvivorsAvx2(
-          t0_.data() + base, p0_.data() + base, t1_.data() + base,
-          p1_.data() + base, DeadPtr(base), probe);
-      sc.lanes_processed += static_cast<std::int64_t>(kBlockSize);
-      const int survivors = std::popcount(m.survivors);
-      sc.pruned_by_summary += std::popcount(m.time) - survivors;
-      sc.examined += survivors;
-      sc.lanes_survived += survivors;
-      for (std::uint64_t bits = m.survivors; bits != 0; bits &= bits - 1) {
-        const std::size_t i =
-            base + static_cast<std::size_t>(std::countr_zero(bits));
+    for (std::size_t q = s_begin; q < s_end;) {
+      const std::size_t q_end =
+          std::min(s_end, (q / kQuarterSize + 1) * kQuarterSize);
+      // A quarter whose live slots all finish before ct0 holds no
+      // candidate (its slots would all fail the time test, uncounted).
+      if (summary_pruning_ &&
+          blocks_[b].quarter_max_t1[(q % kBlockSize) / kQuarterSize] < ct0) {
+        q = q_end;
+        continue;
+      }
+      for (std::size_t i = q; i < q_end; ++i) {
+        // Every slot below `end` starts at or before ct1, so only its
+        // finish time can rule out a time overlap. Most scanned slots fail
+        // here (79% on daybench's W-3 day), and testing the one column
+        // keeps the other three out of the cache for them.
+        if (!IsLive(i) || t1_[i] < ct0) continue;
+        const std::int64_t st0 = t0_[i];
+        if (summary_pruning_) {
+          const std::int64_t sp0 = p0_[i];
+          const std::int64_t sp1 = p1_[i];
+          if (std::max(sp0, sp1) < c_min_pos ||
+              std::min(sp0, sp1) > c_max_pos) {
+            ++sc.pruned_by_summary;
+            continue;
+          }
+          const int s = SlotSlope(p0_[i], p1_[i]);
+          const std::int64_t key = sp0 - s * st0;
+          if (key < klo[s + 1] || key > khi[s + 1]) {
+            ++sc.pruned_by_summary;
+            continue;
+          }
+        }
+        ++sc.examined;
         const TimeStep t = PackedCollisionTime(Get(i), ct0, cp0, ct1, cp1);
         if (t < earliest) earliest = t;
       }
-      continue;
-    }
-    for (std::size_t i = s_begin; i < s_end; ++i) {
-      if (!IsLive(i)) continue;
-      const std::int64_t st0 = t0_[i];
-      const std::int64_t st1 = t1_[i];
-      if (st0 > ct1 || st1 < ct0) continue;
-      if (summary_pruning_) {
-        const std::int64_t sp0 = p0_[i];
-        const std::int64_t sp1 = p1_[i];
-        if (std::max(sp0, sp1) < c_min_pos || std::min(sp0, sp1) > c_max_pos) {
-          ++sc.pruned_by_summary;
-          continue;
-        }
-        const int s = SlotSlope(p0_[i], p1_[i]);
-        const std::int64_t key = sp0 - s * st0;
-        if (key < klo[s + 1] || key > khi[s + 1]) {
-          ++sc.pruned_by_summary;
-          continue;
-        }
-      }
-      ++sc.examined;
-      const TimeStep t = PackedCollisionTime(Get(i), ct0, cp0, ct1, cp1);
-      if (t < earliest) earliest = t;
+      q = q_end;
     }
   }
   return earliest;
@@ -303,15 +289,6 @@ bool SortedSegments::OccupiedAt(std::int64_t pos, TimeStep t,
   const std::size_t end = UpperBoundByStart(t);
   const std::size_t lo = LowerBoundByReach(t);
   if (lo >= end) return false;
-
-  // Same lane-engagement rule as the collision scan: summary mode with an
-  // in-domain probe. Covering slots cannot exist outside [lo, end) or in
-  // the sentinel tail, so full-block masks equal the scalar walk exactly.
-  std::int32_t t32 = 0;
-  std::int32_t pos32 = 0;
-  const bool lanes = summary_pruning_ &&
-                     kernel_ == CollisionKernel::kAvx2 && t0_.FullyPadded() &&
-                     NarrowToI32(t, &t32) && NarrowToI32(pos, &pos32);
 
   const std::size_t b_end = (end + kBlockSize - 1) / kBlockSize;
   for (std::size_t b = lo / kBlockSize; b < b_end; ++b) {
@@ -334,35 +311,22 @@ bool SortedSegments::OccupiedAt(std::int64_t pos, TimeStep t,
       }
     }
     ++sc.blocks_scanned;
-    if (lanes && s_end - s_begin >= kMinLaneSpanAvx2) {
-      const std::size_t base = b * kBlockSize;
-      const OccupancyMasks m = SegmentOccupancyAvx2(
-          t0_.data() + base, p0_.data() + base, t1_.data() + base,
-          p1_.data() + base, DeadPtr(base), t32, pos32);
-      sc.lanes_processed += static_cast<std::int64_t>(kBlockSize);
-      if (m.hits != 0) {
-        // The scalar walk examines every covering slot up to and including
-        // the first position match, then returns.
-        const int first = std::countr_zero(m.hits);
-        const std::uint64_t upto =
-            first == 63 ? ~std::uint64_t{0}
-                        : (std::uint64_t{1} << (first + 1)) - 1;
-        const int examined = std::popcount(m.covering & upto);
-        sc.examined += examined;
-        sc.lanes_survived += examined;
-        return true;
+    for (std::size_t q = s_begin; q < s_end;) {
+      const std::size_t q_end =
+          std::min(s_end, (q / kQuarterSize + 1) * kQuarterSize);
+      if (summary_pruning_ &&
+          blocks_[b].quarter_max_t1[(q % kBlockSize) / kQuarterSize] < t) {
+        q = q_end;
+        continue;
       }
-      const int examined = std::popcount(m.covering);
-      sc.examined += examined;
-      sc.lanes_survived += examined;
-      continue;
-    }
-    for (std::size_t i = s_begin; i < s_end; ++i) {
-      if (!IsLive(i)) continue;
-      if (t0_[i] > t || t1_[i] < t) continue;
-      ++sc.examined;
-      const std::int64_t s = SlotSlope(p0_[i], p1_[i]);
-      if (p0_[i] + s * (t - t0_[i]) == pos) return true;
+      for (std::size_t i = q; i < q_end; ++i) {
+        // Slots below `end` start at or before t, as in the collision scan.
+        if (!IsLive(i) || t1_[i] < t) continue;
+        ++sc.examined;
+        const std::int64_t s = SlotSlope(p0_[i], p1_[i]);
+        if (p0_[i] + s * (t - t0_[i]) == pos) return true;
+      }
+      q = q_end;
     }
   }
   return false;
@@ -379,16 +343,6 @@ std::string SortedSegments::CheckInvariants() const {
   if (!dead_.empty() && dead_.size() != n) {
     err << "SortedSegments: dead flag array has " << dead_.size()
         << " slots for " << n << " items";
-    return err.str();
-  }
-  // The lane kernels load whole padded blocks unmasked, so "every tail
-  // slot holds its never-match sentinel" is answer-critical (DESIGN.md
-  // §2g): a live-looking tail slot would be judged as a phantom segment.
-  if (!t0_.TailIsPoisoned() || !p0_.TailIsPoisoned() ||
-      !t1_.TailIsPoisoned() || !p1_.TailIsPoisoned() ||
-      !dead_.TailIsPoisoned()) {
-    err << "SortedSegments: padded tail slots past " << n
-        << " are not sentinel-poisoned";
     return err.str();
   }
   std::size_t dead_count = 0;
@@ -425,21 +379,7 @@ std::string SortedSegments::CheckInvariants() const {
     return err.str();
   }
   for (std::size_t b = 0; b < n_blocks; ++b) {
-    BlockSummary want;
-    const std::size_t begin = b * kBlockSize;
-    const std::size_t bend = std::min(begin + kBlockSize, n);
-    for (std::size_t i = begin; i < bend; ++i) {
-      if (!IsLive(i)) continue;
-      want.min_t0 = std::min(want.min_t0, t0_[i]);
-      want.max_t1 = std::max(want.max_t1, t1_[i]);
-      want.min_pos = std::min(want.min_pos, std::min(p0_[i], p1_[i]));
-      want.max_pos = std::max(want.max_pos, std::max(p0_[i], p1_[i]));
-      const int s = SlotSlope(p0_[i], p1_[i]);
-      const std::int32_t key = p0_[i] - static_cast<std::int32_t>(s) * t0_[i];
-      want.min_key[s + 1] = std::min(want.min_key[s + 1], key);
-      want.max_key[s + 1] = std::max(want.max_key[s + 1], key);
-      ++want.live;
-    }
+    const BlockSummary want = Summarize(b);
     if (!(blocks_[b] == want)) {
       err << "SortedSegments: block " << b << " summary is stale (live "
           << blocks_[b].live << " vs recomputed " << want.live << ", t ["
@@ -451,25 +391,6 @@ std::string SortedSegments::CheckInvariants() const {
     }
   }
   return {};
-}
-
-bool SortedSegments::CorruptSimdTailForTest() {
-  const std::size_t n = slot_count();
-  // A sentinel tail only exists once padding has engaged (>= one full
-  // block) and the last block is partial.
-  if (!t0_.FullyPadded() || n % kBlockSize == 0 || n < kBlockSize) {
-    return false;
-  }
-  // Clone the last real slot into the first padding slot: a phantom
-  // segment only a full-block lane scan can see. The tail-poisoning audit
-  // flags it structurally; against a lane kernel the phantom also shows up
-  // as a diverging collision answer.
-  t0_.SetRawForTest(n, t0_[n - 1]);
-  p0_.SetRawForTest(n, p0_[n - 1]);
-  t1_.SetRawForTest(n, t1_[n - 1]);
-  p1_.SetRawForTest(n, p1_[n - 1]);
-  if (!dead_.empty()) dead_.SetRawForTest(n, 0);
-  return true;
 }
 
 bool SortedSegments::CorruptOneSummaryForTest() {

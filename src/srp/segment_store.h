@@ -12,16 +12,11 @@
 #include "common/audit.h"
 #include "common/logging.h"
 #include "common/types.h"
-#include "core/kernel_dispatch.h"
 #include "core/planner.h"
 #include "geometry/intersection.h"
 #include "geometry/segment.h"
-#include "srp/collision_kernel.h"
-#include "srp/padded_column.h"
 
 namespace carp::srp {
-
-using core::CollisionKernel;
 
 /// Statistics of collision-detection work and lifecycle churn, for the
 /// Fig. 22 ablation and the longrun bench.
@@ -42,17 +37,11 @@ struct SegmentStoreStats {
   std::int64_t by_line_tombstones = 0;
   std::int64_t by_line_compactions = 0;
   std::int64_t by_line_shrinks = 0;
-  // Lane-kernel utilization: slots covered by AVX2 block scans and how
-  // many of them survived every prefilter (scalar scans tally neither).
-  std::int64_t lanes_processed = 0;
-  std::int64_t lanes_survived = 0;
   // Fully-dead equal-key runs (line-index "buckets") erased by prune or
   // compaction passes. Such runs hold no live entry yet would still be
   // walked by bucket scans until erased; the counter makes the cleanup
   // observable.
   std::int64_t buckets_erased = 0;
-  // Which survivor-scan kernel this store resolved to at construction.
-  core::CollisionKernel kernel = core::CollisionKernel::kScalar;
 };
 
 namespace internal_store {
@@ -60,8 +49,10 @@ namespace internal_store {
 /// Segments per summary block of the blocked SoA layout (power of two; one
 /// block's coordinates span 4 x 256 bytes = four cache lines per array).
 inline constexpr std::size_t kSegmentBlockSize = 64;
-static_assert(kSegmentBlockSize == kKernelBlockSlots,
-              "lane kernels consume exactly one summary block per call");
+
+/// Slots per quarter block: the slot scans skip a quarter whose live slots
+/// all finish before the probe's time window.
+inline constexpr std::size_t kQuarterSize = kSegmentBlockSize / 4;
 
 /// The one capacity-return policy shared by every flat sequence in the
 /// stores: give memory back only when the live size has fallen well below
@@ -142,7 +133,7 @@ inline TimeStep PackedCollisionTime(const PackedSegment& s, std::int64_t ct0,
   return (t_star >= lo && t_star + 1 <= hi) ? t_star : kInfiniteTime;
 }
 
-/// Per-query scan work, tallied locally by the collision kernels and folded
+/// Per-query scan work, tallied locally by the collision scans and folded
 /// once per query (NoteQuery) into the thread's ScopedStatsSink, or into the
 /// store's own SegmentStoreStats atomics when none is installed.
 struct ScanCounters {
@@ -150,8 +141,6 @@ struct ScanCounters {
   std::int64_t blocks_scanned = 0;     // blocks whose slots were inspected
   std::int64_t blocks_skipped = 0;     // blocks pruned by their summary
   std::int64_t pruned_by_summary = 0;  // candidates excluded w/o a predicate
-  std::int64_t lanes_processed = 0;    // slots covered by AVX2 lane scans
-  std::int64_t lanes_survived = 0;     // of those, slots passing every filter
 };
 
 /// Exact per-block aggregate over the *live* slots of one 64-slot block of
@@ -166,6 +155,9 @@ struct ScanCounters {
 ///     segment lies on one space-time line; a conflict point is on the
 ///     candidate, so the stored key must fall inside the candidate's
 ///     interval of keys for that slope).
+/// Within a block that is scanned, a quarter is skipped when its latest
+/// live finish time precedes the candidate's start: most scanned slots fail
+/// on time alone, and a block often survives through one long segment.
 /// Tombstoned slots widen nothing: every mutation recomputes the affected
 /// blocks over live slots only, and compaction rebuilds all summaries.
 struct BlockSummary {
@@ -180,6 +172,7 @@ struct BlockSummary {
   // the inverted sentinel range, which every interval test rejects.
   std::int32_t min_key[3] = {kHi, kHi, kHi};
   std::int32_t max_key[3] = {kLo, kLo, kLo};
+  std::int32_t quarter_max_t1[4] = {kLo, kLo, kLo, kLo};
   std::uint32_t live = 0;
 
   friend bool operator==(const BlockSummary&, const BlockSummary&) = default;
@@ -279,15 +272,6 @@ class SortedSegments {
   void set_summary_pruning(bool enabled) { summary_pruning_ = enabled; }
   bool summary_pruning() const { return summary_pruning_; }
 
-  /// Selects the survivor-scan implementation for the blocks the summary
-  /// pass does not skip (DESIGN.md §2g). Expects a *resolved* kernel (never
-  /// kAuto — owners resolve once at construction). Every kernel returns
-  /// identical answers, masks, and counters; the lane kernels additionally
-  /// tally lanes_processed/lanes_survived. Flat mode (summary pruning off)
-  /// always runs the scalar loop — it is the shared oracle.
-  void set_kernel(CollisionKernel kernel) { kernel_ = kernel; }
-  CollisionKernel kernel() const { return kernel_; }
-
   /// Structural audit: empty string when the arrays are sorted and equally
   /// sized, tombstone bookkeeping matches the flag array, max_duration_
   /// bounds every live duration, and every block summary equals an exact
@@ -299,13 +283,6 @@ class SortedSegments {
   /// calibration for the differential fuzzer; see check/faulty_store.h).
   /// Returns false when the store has no live slots to corrupt.
   bool CorruptOneSummaryForTest();
-
-  /// Overwrites the first padded tail slot with a live-looking copy of the
-  /// last real slot (fault-injection calibration for the sentinel-poisoning
-  /// invariant the lane kernels depend on; see check/faulty_store.h).
-  /// Returns false when the logical size is a whole number of blocks (no
-  /// tail slot exists to corrupt).
-  bool CorruptSimdTailForTest();
 
   /// Longest duration among stored segments (upper bound; recomputed
   /// exactly over live segments at each compaction).
@@ -331,8 +308,11 @@ class SortedSegments {
   std::size_t UpperBoundSlot(const PackedSegment& s) const;
   std::size_t LowerBoundSlot(const PackedSegment& s) const;
 
-  /// Recomputes the summary of block `b` over its live slots.
-  void RebuildBlock(std::size_t b);
+  /// The exact summary of block `b` over its live slots.
+  BlockSummary Summarize(std::size_t b) const;
+
+  /// Recomputes the summary of block `b`.
+  void RebuildBlock(std::size_t b) { blocks_[b] = Summarize(b); }
 
   /// Resizes blocks_ to match slot_count() and recomputes summaries for
   /// every block at index >= `first` (an ordered insert shifts the
@@ -345,33 +325,20 @@ class SortedSegments {
   void CompactIfNeeded();
   void Compact(bool allow_shrink);
 
-  /// Tombstone-flag base for a lane-kernel call on the block at `base`;
-  /// null means every slot (including padding) reads live, and the
-  /// coordinate sentinels alone exclude the tail.
-  const std::uint8_t* DeadPtr(std::size_t base) const {
-    return dead_.empty() ? nullptr : dead_.data() + base;
-  }
-
   // Structure-of-arrays coordinates, all sorted by the (t0, p0, t1, p1)
-  // tuple order; one block summary per kBlockSize slots. Columns are
-  // 64-byte aligned and physically padded to whole blocks with never-match
-  // sentinels (t0 = +inf, t1 = -inf, positions = -inf) so the lane kernels
-  // can load full blocks unmasked (DESIGN.md §2g).
-  PaddedColumn<std::int32_t, kBlockSize> t0_{BlockSummary::kHi};
-  PaddedColumn<std::int32_t, kBlockSize> p0_{BlockSummary::kLo};
-  PaddedColumn<std::int32_t, kBlockSize> t1_{BlockSummary::kLo};
-  PaddedColumn<std::int32_t, kBlockSize> p1_{BlockSummary::kLo};
+  // tuple order; one block summary per kBlockSize slots.
+  std::vector<std::int32_t> t0_;
+  std::vector<std::int32_t> p0_;
+  std::vector<std::int32_t> t1_;
+  std::vector<std::int32_t> p1_;
   // Tombstone flags, parallel to the arrays; empty means "no slot ever
-  // died" (the append-only fast path allocates no flag bytes). Padding
-  // slots read dead, a second line of defense behind the coordinate
-  // sentinels.
-  PaddedColumn<std::uint8_t, kBlockSize> dead_{1};
+  // died" (the append-only fast path allocates no flag bytes).
+  std::vector<std::uint8_t> dead_;
   std::vector<BlockSummary> blocks_;
   std::size_t tombstones_ = 0;
   std::int64_t compactions_ = 0;
   std::int64_t shrinks_ = 0;
   bool summary_pruning_ = true;
-  CollisionKernel kernel_ = CollisionKernel::kScalar;
   // Longest live duration (exact after each compaction, otherwise a safe
   // monotone upper bound for LowerBoundByReach).
   std::int32_t max_duration_ = 0;
@@ -484,8 +451,6 @@ class SegmentStore {
     s.blocks_skipped = blocks_skipped_.load(std::memory_order_relaxed);
     s.candidates_pruned_by_summary =
         summary_pruned_.load(std::memory_order_relaxed);
-    s.lanes_processed = lanes_processed_.load(std::memory_order_relaxed);
-    s.lanes_survived = lanes_survived_.load(std::memory_order_relaxed);
     s.erases = erase_count_;
     s.pruned = prune_count_;
     AddStructureStats(s);
@@ -497,8 +462,6 @@ class SegmentStore {
     blocks_scanned_.store(0, std::memory_order_relaxed);
     blocks_skipped_.store(0, std::memory_order_relaxed);
     summary_pruned_.store(0, std::memory_order_relaxed);
-    lanes_processed_.store(0, std::memory_order_relaxed);
-    lanes_survived_.store(0, std::memory_order_relaxed);
     erase_count_ = 0;
     prune_count_ = 0;
   }
@@ -512,8 +475,6 @@ class SegmentStore {
       sink->blocks_scanned += sc.blocks_scanned;
       sink->blocks_skipped += sc.blocks_skipped;
       sink->candidates_pruned_by_summary += sc.pruned_by_summary;
-      sink->kernel_lanes_processed += sc.lanes_processed;
-      sink->kernel_lanes_survived += sc.lanes_survived;
       return;
     }
     query_count_.fetch_add(1, std::memory_order_relaxed);
@@ -529,13 +490,6 @@ class SegmentStore {
     if (sc.pruned_by_summary != 0) {
       summary_pruned_.fetch_add(sc.pruned_by_summary,
                                 std::memory_order_relaxed);
-    }
-    if (sc.lanes_processed != 0) {
-      lanes_processed_.fetch_add(sc.lanes_processed,
-                                 std::memory_order_relaxed);
-    }
-    if (sc.lanes_survived != 0) {
-      lanes_survived_.fetch_add(sc.lanes_survived, std::memory_order_relaxed);
     }
   }
 
@@ -563,8 +517,6 @@ class SegmentStore {
   mutable std::atomic<std::int64_t> blocks_scanned_{0};
   mutable std::atomic<std::int64_t> blocks_skipped_{0};
   mutable std::atomic<std::int64_t> summary_pruned_{0};
-  mutable std::atomic<std::int64_t> lanes_processed_{0};
-  mutable std::atomic<std::int64_t> lanes_survived_{0};
   std::int64_t erase_count_ = 0;
   std::int64_t prune_count_ = 0;
   AuditSampler audit_;
@@ -581,17 +533,9 @@ class NaiveSegmentStore final : public SegmentStore {
  public:
   /// `summary_pruning` false degrades the collision kernel to the flat
   /// predicate-per-candidate scan (paired benches / differential fuzzing).
-  /// `kernel` selects the survivor-scan implementation; the default
-  /// resolves via CPUID (and CARP_FORCE_KERNEL) at construction.
-  explicit NaiveSegmentStore(
-      bool summary_pruning = true,
-      CollisionKernel kernel = CollisionKernel::kAuto) {
+  explicit NaiveSegmentStore(bool summary_pruning = true) {
     segments_.set_summary_pruning(summary_pruning);
-    segments_.set_kernel(core::ResolveCollisionKernel(kernel));
   }
-
-  /// The kernel this store resolved to (never kAuto).
-  CollisionKernel kernel() const { return segments_.kernel(); }
 
   void Insert(const geometry::Segment& segment) override;
   bool Remove(const geometry::Segment& segment) override;
@@ -621,19 +565,11 @@ class NaiveSegmentStore final : public SegmentStore {
     return segments_.CorruptOneSummaryForTest();
   }
 
-  /// Fault-injection hook (check/faulty_store.h): revives one padded tail
-  /// slot, violating the sentinel-poisoning invariant the lane kernels
-  /// assume.
-  bool CorruptSimdTailForTest() {
-    return segments_.CorruptSimdTailForTest();
-  }
-
  protected:
   void AddStructureStats(SegmentStoreStats& s) const override {
     s.tombstones += static_cast<std::int64_t>(segments_.tombstones());
     s.compactions += segments_.compactions();
     s.shrinks += segments_.shrinks();
-    s.kernel = segments_.kernel();
   }
 
  private:

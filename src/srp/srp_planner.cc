@@ -59,12 +59,11 @@ class SegmentOracle final : public core::SpaceTimeOracle {
 };
 
 std::unique_ptr<SegmentStore> MakeStore(bool use_slope_index,
-                                        bool use_summary_pruning,
-                                        core::CollisionKernel kernel) {
+                                        bool use_summary_pruning) {
   if (use_slope_index) {
-    return std::make_unique<IndexedSegmentStore>(use_summary_pruning, kernel);
+    return std::make_unique<IndexedSegmentStore>(use_summary_pruning);
   }
-  return std::make_unique<NaiveSegmentStore>(use_summary_pruning, kernel);
+  return std::make_unique<NaiveSegmentStore>(use_summary_pruning);
 }
 
 }  // namespace
@@ -92,12 +91,9 @@ SrpPlanner::SrpPlanner(const core::WarehouseMatrix& matrix,
   for (const Strip& s : graph_.strips()) {
     if (s.type == CellKind::kAisle) {
       stores_[static_cast<std::size_t>(s.id)] =
-          MakeStore(options_.use_slope_index, options_.use_summary_pruning,
-                    options_.kernel);
+          MakeStore(options_.use_slope_index, options_.use_summary_pruning);
     }
   }
-  // The label of the kernel every store resolved to (one options value).
-  stats_.collision_kernel = core::ResolveCollisionKernel(options_.kernel);
   // Resolve the effective fallback horizon without mutating the caller's
   // options: derive from the warehouse perimeter when unset, and floor it
   // there otherwise (a fallback that cannot cross the warehouse would turn
@@ -114,8 +110,7 @@ void SrpPlanner::Reset() {
   for (const Strip& s : graph_.strips()) {
     if (s.type == CellKind::kAisle) {
       stores_[static_cast<std::size_t>(s.id)] =
-          MakeStore(options_.use_slope_index, options_.use_summary_pruning,
-                    options_.kernel);
+          MakeStore(options_.use_slope_index, options_.use_summary_pruning);
     }
   }
   crossings_.Clear();
@@ -124,7 +119,6 @@ void SrpPlanner::Reset() {
   sharded_audit_due_ = false;
   route_log_.clear();
   stats_ = core::PlannerStats{};
-  stats_.collision_kernel = core::ResolveCollisionKernel(options_.kernel);
   prune_cutoff_ = 0;
   peak_segments_ = 0;
   serial_.ResetScratch();

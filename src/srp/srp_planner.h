@@ -41,12 +41,6 @@ struct SrpPlannerOptions {
   /// kernel-bench ablation and the differential fuzzer toggle this).
   bool use_summary_pruning = true;
 
-  /// Survivor-scan kernel of the stores' per-block lane pass (DESIGN.md
-  /// §2g): portable scalar or AVX2 intrinsics. kAuto resolves at store
-  /// construction via CPUID and the CARP_FORCE_KERNEL environment
-  /// override; answers and scan counters are identical across kernels.
-  core::CollisionKernel kernel = core::CollisionKernel::kAuto;
-
   /// Order the inter-strip search by arrival + Manhattan lower bound
   /// instead of plain Dijkstra. A goal-direction engineering optimisation
   /// on top of Alg. 4; semantics are unchanged (the bound is admissible).

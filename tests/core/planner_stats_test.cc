@@ -81,7 +81,7 @@ TEST(PlannerStatsMergeTest, SumsEveryCounterFieldWise) {
     a.*field = 0.25 * static_cast<double>(++k);
     b.*field = 250.0 * static_cast<double>(k);
   }
-  a.collision_kernel = CollisionKernel::kAvx2;
+  a.collision_kernel = CollisionKernel::kAuto;
   b.collision_kernel = CollisionKernel::kScalar;
   a.search_engine = SearchEngine::kAstar;
   b.search_engine = SearchEngine::kAuto;
@@ -103,7 +103,7 @@ TEST(PlannerStatsMergeTest, SumsEveryCounterFieldWise) {
     const auto field = kSecondsCounters[i];
     EXPECT_EQ(a.*field, before.*field + b.*field) << "seconds counter " << i;
   }
-  EXPECT_EQ(a.collision_kernel, CollisionKernel::kAvx2);
+  EXPECT_EQ(a.collision_kernel, CollisionKernel::kAuto);
   EXPECT_EQ(a.search_engine, SearchEngine::kAstar);
 }
 

@@ -1,6 +1,7 @@
 #include "srp/segment_store.h"
 
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -135,6 +136,63 @@ TEST_P(SegmentStoreTest, StatsCountQueries) {
   store_->EarliestCollisionTime(Segment({0, 5}, {5, 0}));
   store_->EarliestCollisionTime(Segment({20, 0}, {25, 5}));
   EXPECT_EQ(store_->stats().queries, 2);
+}
+
+Segment RandomStripSegment(Rng& rng) {
+  const std::int64_t strip_length = 48;
+  const std::int64_t dur = rng.UniformInt(0, 24);
+  const std::int64_t t0 = rng.UniformInt(0, 256);
+  const std::int64_t slope = rng.UniformInt(-1, 1);
+  std::int64_t p0 = 0;
+  if (slope > 0) {
+    p0 = rng.UniformInt(0, strip_length - dur);
+  } else if (slope < 0) {
+    p0 = rng.UniformInt(dur, strip_length);
+  } else {
+    p0 = rng.UniformInt(0, strip_length);
+  }
+  return Segment({t0, p0}, {t0 + dur, p0 + slope * dur});
+}
+
+// Every population from empty through several blocks, riddled with
+// tombstones, must answer like the flat scan: 0..64 walks the first block
+// through every partial shape, the larger sizes cover multi-block stores
+// whose last block is partial or exactly full.
+TEST_P(SegmentStoreTest, PopulationsAnswerLikeFlatOracle) {
+  std::vector<std::size_t> populations;
+  for (std::size_t n = 0; n <= 64; ++n) populations.push_back(n);
+  for (std::size_t n : {65u, 77u, 96u, 127u, 128u, 129u, 160u}) {
+    populations.push_back(n);
+  }
+  for (const std::size_t n : populations) {
+    Rng rng(1000 + n);
+    auto store = MakeStore(GetParam());
+    // The flat scan with summaries off is the bit-exact oracle.
+    NaiveSegmentStore oracle(/*summary_pruning=*/false);
+    std::vector<Segment> committed;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Segment seg = RandomStripSegment(rng);
+      store->Insert(seg);
+      oracle.Insert(seg);
+      committed.push_back(seg);
+    }
+    // Tombstone every 3rd committed segment so live runs are broken up
+    // inside blocks.
+    for (std::size_t i = 0; i < committed.size(); i += 3) {
+      ASSERT_TRUE(store->Remove(committed[i]));
+      ASSERT_TRUE(oracle.Remove(committed[i]));
+    }
+    for (int q = 0; q < 48; ++q) {
+      const Segment probe = RandomStripSegment(rng);
+      EXPECT_EQ(store->EarliestCollisionTime(probe),
+                oracle.EarliestCollisionTime(probe))
+          << "n=" << n << " probe " << q;
+      const std::int64_t pos = rng.UniformInt(0, 48);
+      const TimeStep t = rng.UniformInt(0, 280);
+      EXPECT_EQ(store->OccupiedAt(pos, t), oracle.OccupiedAt(pos, t))
+          << "n=" << n << " probe " << q;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(BothStores, SegmentStoreTest,
