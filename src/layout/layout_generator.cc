@@ -1,6 +1,5 @@
 #include "layout/layout_generator.h"
 
-#include <algorithm>
 #include <optional>
 
 #include "common/logging.h"
@@ -47,9 +46,11 @@ std::optional<GridCoord> AccessCellFor(const core::WarehouseMatrix& m,
 }
 
 // Evenly samples `count` cells along the perimeter ring one cell inside the
-// border, skipping non-traversable positions.
+// border, skipping non-traversable positions. Marks each picked cell in
+// `is_picker`, a row-major bitmap of the matrix.
 std::vector<GridCoord> PlacePickers(const core::WarehouseMatrix& m,
-                                    std::int32_t count) {
+                                    std::int32_t count,
+                                    std::vector<bool>& is_picker) {
   std::vector<GridCoord> ring;
   const std::int32_t h = m.height();
   const std::int32_t w = m.width();
@@ -69,8 +70,9 @@ std::vector<GridCoord> PlacePickers(const core::WarehouseMatrix& m,
     // rarely triggers).
     for (std::size_t probe = 0; probe < ring.size(); ++probe) {
       GridCoord g = ring[(idx + probe) % ring.size()];
-      if (m.IsTraversable(g) &&
-          std::find(pickers.begin(), pickers.end(), g) == pickers.end()) {
+      const std::size_t cell = static_cast<std::size_t>(g.row) * w + g.col;
+      if (m.IsTraversable(g) && !is_picker[cell]) {
+        is_picker[cell] = true;
         pickers.push_back(g);
         break;
       }
@@ -105,7 +107,9 @@ Warehouse GenerateWarehouse(const LayoutConfig& config) {
   }
   CARP_CHECK(!w.racks.empty()) << "layout has no accessible racks";
 
-  w.pickers = PlacePickers(w.matrix, config.num_pickers);
+  std::vector<bool> is_picker(
+      static_cast<std::size_t>(config.height) * config.width);
+  w.pickers = PlacePickers(w.matrix, config.num_pickers, is_picker);
   CARP_CHECK(static_cast<std::int32_t>(w.pickers.size()) ==
              config.num_pickers)
       << "could not place all pickers";
@@ -118,8 +122,7 @@ Warehouse GenerateWarehouse(const LayoutConfig& config) {
     for (std::int32_t j = 0; j < config.width; ++j) {
       GridCoord g{i, j};
       if (w.matrix.IsTraversable(g) &&
-          std::find(w.pickers.begin(), w.pickers.end(), g) ==
-              w.pickers.end()) {
+          !is_picker[static_cast<std::size_t>(i) * config.width + j]) {
         aisles.push_back(g);
       }
     }

@@ -154,40 +154,49 @@ class BacktrackingSearch {
 
 }  // namespace
 
+std::optional<IntraPlan> StripExits::PlanTo(std::int64_t exit) {
+  IntraPlan plan;
+  if (exit == entry_) {
+    // Already at the target position: the occupancy point is the caller's
+    // legally-held state, no collision query needed.
+    plan.segments.push_back(Segment({start_, entry_}, {start_, entry_}));
+    plan.arrival = start_;
+    return plan;
+  }
+
+  const std::int64_t dist = exit > entry_ ? exit - entry_ : entry_ - exit;
+  Side& side = sides_[exit > entry_ ? 1 : 0];
+  if (dist >= side.failed_from) return std::nullopt;
+
+  // Fast path: the unobstructed greedy move (the overwhelmingly common
+  // case) needs one collision query, and none inside a known free move.
+  const Segment direct({start_, entry_}, {start_ + dist, exit});
+  if (dist > side.free_to) {
+    const TimeStep collision = store_.EarliestCollisionTime(direct);
+    if (collision != kInfiniteTime) {
+      BacktrackingSearch search(store_, options_, exit);
+      if (!search.Run(start_, entry_, collision, plan.segments)) {
+        side.failed_from = dist;
+        return std::nullopt;
+      }
+      plan.arrival = plan.segments.back().finish().t;
+      plan.probes = search.queries();
+      return plan;
+    }
+    side.free_to = dist;
+    plan.probes = 1;
+  }
+  plan.segments.push_back(direct);
+  plan.arrival = direct.finish().t;
+  return plan;
+}
+
 std::optional<IntraPlan> PlanWithinStrip(const SegmentStore& store,
                                          TimeStep start,
                                          std::int64_t from_pos,
                                          std::int64_t to_pos,
                                          const IntraPlanOptions& options) {
-  IntraPlan plan;
-  if (from_pos == to_pos) {
-    // Already at the target position: the occupancy point is the caller's
-    // legally-held state, no collision query needed.
-    plan.segments.push_back(Segment({start, from_pos}, {start, from_pos}));
-    plan.arrival = start;
-    return plan;
-  }
-
-  // Fast path: the unobstructed greedy move (the overwhelmingly common
-  // case) needs exactly one collision query and no search machinery.
-  const std::int64_t dist =
-      to_pos > from_pos ? to_pos - from_pos : from_pos - to_pos;
-  const Segment direct({start, from_pos}, {start + dist, to_pos});
-  const TimeStep collision = store.EarliestCollisionTime(direct);
-  if (collision == kInfiniteTime) {
-    plan.segments.push_back(direct);
-    plan.arrival = direct.finish().t;
-    plan.probes = 1;
-    return plan;
-  }
-
-  BacktrackingSearch search(store, options, to_pos);
-  if (!search.Run(start, from_pos, collision, plan.segments)) {
-    return std::nullopt;
-  }
-  plan.arrival = plan.segments.back().finish().t;
-  plan.probes = search.queries();
-  return plan;
+  return StripExits(store, start, from_pos, options).PlanTo(to_pos);
 }
 
 }  // namespace carp::srp

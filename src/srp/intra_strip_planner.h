@@ -2,6 +2,7 @@
 #define CARP_SRP_INTRA_STRIP_PLANNER_H_
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -42,6 +43,45 @@ struct IntraPlan {
   /// probed twice in one call; a reused answer still spends `max_probes`
   /// budget but is not counted here.
   std::int64_t probes = 0;
+};
+
+/// Alg. 2 from one fixed state — the robot at grid number `entry` of a
+/// strip at time `start` — to any number of exits of that strip, sharing
+/// what one exit's answer proves about the others (DESIGN.md §2a):
+///
+///  * past a failure: once the plan to exit x fails, every exit at or past
+///    x in the same direction fails too, and is answered without a search;
+///  * before a free move: once the direct move to exit x is collision-free,
+///    every exit between the entry and x is answered with that move's
+///    prefix, without a probe.
+///
+/// Both rules are exact, so `PlanTo(x)` answers every exit exactly as a
+/// fresh `PlanWithinStrip(store, start, entry, x, options)` would (same
+/// segments and arrival); only the store work falls. The store must not
+/// change while the object is in use.
+class StripExits {
+ public:
+  StripExits(const SegmentStore& store, TimeStep start, std::int64_t entry,
+             const IntraPlanOptions& options)
+      : store_(store), options_(options), start_(start), entry_(entry) {}
+
+  /// Plans from the entry to grid number `exit`; `probes` counts only the
+  /// store queries this call issued.
+  std::optional<IntraPlan> PlanTo(std::int64_t exit);
+
+ private:
+  // What the answers so far prove about one direction from the entry,
+  // as distances from it.
+  struct Side {
+    std::int64_t free_to = 0;  // the direct move this far is free
+    std::int64_t failed_from = std::numeric_limits<std::int64_t>::max();
+  };
+
+  const SegmentStore& store_;
+  const IntraPlanOptions& options_;
+  const TimeStep start_;
+  const std::int64_t entry_;
+  Side sides_[2];  // [0] toward lower grid numbers, [1] toward higher
 };
 
 /// The segment-based route planner within a single strip (Alg. 2).

@@ -502,6 +502,8 @@ SrpPlanner::PassResult SrpPlanner::InterStripSearch(
         options_.detour_slack >= 0 && options_.use_goal_heuristic;
     const TimeStep lb_u =
         detour_prune ? lower_bound(strip_u.CellAt(entry_u)) : 0;
+    // One memo of Alg. 2 answers for all of this label's exits.
+    StripExits exits(*StoreOf(u), arrival_u, entry_u, options_.intra);
 
     // Only edges inside the geodesic tube are visited (see
     // StripGraph::ForEachEdgeInTube); the exact test below still applies.
@@ -544,8 +546,7 @@ SrpPlanner::PassResult SrpPlanner::InterStripSearch(
       }
 
       if (timed) intra_watch_.Start();
-      auto intra = PlanWithinStrip(*StoreOf(u), arrival_u, entry_u,
-                                   contact.pos_u, options_.intra);
+      auto intra = exits.PlanTo(contact.pos_u);
       if (timed) intra_watch_.Stop();
       if (!intra.has_value()) return;
 

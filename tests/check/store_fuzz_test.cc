@@ -5,12 +5,39 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "check/faulty_store.h"
 #include "check/store_fuzzer.h"
 
 namespace carp::check {
+
+// Prints a fault by name, so the AllFaults test ids name the bug they
+// inject and stay put when the enum is renumbered.
+void PrintTo(StoreFault fault, std::ostream* os) {
+  switch (fault) {
+    case StoreFault::kGhostInsert:
+      *os << "GhostInsert";
+      return;
+    case StoreFault::kDropRemove:
+      *os << "DropRemove";
+      return;
+    case StoreFault::kPruneOffByOne:
+      *os << "PruneOffByOne";
+      return;
+    case StoreFault::kStaleSummary:
+      *os << "StaleSummary";
+      return;
+    case StoreFault::kLostRollback:
+      *os << "LostRollback";
+      return;
+    case StoreFault::kCrossShardLeak:
+      *os << "CrossShardLeak";
+      return;
+  }
+}
+
 namespace {
 
 TEST(StoreFuzzTest, ProductionStoresSurviveSeedBudget) {
@@ -43,7 +70,8 @@ INSTANTIATE_TEST_SUITE_P(AllFaults, InjectedFaultTest,
                          ::testing::Values(StoreFault::kGhostInsert,
                                            StoreFault::kDropRemove,
                                            StoreFault::kPruneOffByOne,
-                                           StoreFault::kStaleSummary));
+                                           StoreFault::kStaleSummary),
+                         ::testing::PrintToStringParamName());
 
 // ---- Shard-accounting fuzz (DESIGN.md §2h). kCrossShardLeak lives here,
 // not in the FaultySegmentStore matrix above: the fault corrupts the

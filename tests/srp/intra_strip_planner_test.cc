@@ -1,6 +1,8 @@
 #include "srp/intra_strip_planner.h"
 
+#include <algorithm>
 #include <functional>
+#include <iostream>
 #include <optional>
 #include <vector>
 
@@ -249,6 +251,145 @@ TEST_P(IntraPlannerPropertyTest, PlansAreAlwaysConsistent) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IntraPlannerPropertyTest,
                          ::testing::Range(0, 10));
+
+// ---- StripExits: one settled state's answers shared across its exits
+// (DESIGN.md §2a).
+
+// Fills a strip of `length` grid numbers with traffic: either random
+// segments, or routes that PlanWithinStrip itself plans and commits, each
+// followed by a long dwell at its target (the shape of a robot parked at a
+// rack or waiting to cross).
+void FillStrip(Rng& rng, std::int64_t length, SegmentStore& store) {
+  const bool committed = rng.Bernoulli(0.5);
+  const int population = static_cast<int>(rng.UniformInt(0, 16));
+  for (int i = 0; i < population; ++i) {
+    const TimeStep t0 = rng.UniformInt(0, 40);
+    const std::int64_t p0 = rng.UniformInt(0, length - 1);
+    if (!committed) {
+      const TimeStep dur = rng.UniformInt(0, 12);
+      const int slope = static_cast<int>(rng.UniformInt(-1, 1));
+      std::int64_t p1 = p0 + slope * dur;
+      if (p1 < 0 || p1 >= length) p1 = p0;
+      store.Insert(Segment({t0, p0}, {t0 + dur, p1}));
+      continue;
+    }
+    if (store.OccupiedAt(p0, t0)) continue;
+    const std::int64_t p1 = rng.UniformInt(0, length - 1);
+    auto route = PlanWithinStrip(store, t0, p0, p1, IntraPlanOptions{});
+    if (!route.has_value()) continue;
+    for (const Segment& seg : route->segments) store.Insert(seg);
+    const Segment dwell({route->arrival, p1},
+                        {route->arrival + rng.UniformInt(1, 60), p1});
+    if (store.EarliestCollisionTime(dwell) == kInfiniteTime) {
+      store.Insert(dwell);
+    }
+  }
+}
+
+class StripExitsPropertyTest : public ::testing::TestWithParam<int> {};
+
+// PlanTo answers every exit, visited in any order, exactly as a fresh
+// PlanWithinStrip call does, and Alg. 2 itself never reaches an exit past
+// one it failed to reach in the same direction (the rule the memo relies
+// on). The counters make sure both memo rules actually fired.
+TEST_P(StripExitsPropertyTest, MemoAnswersEveryExitLikeAFreshSearch) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 11);
+  std::int64_t exits_checked = 0;
+  std::int64_t skipped_past_failure = 0;  // rule (a) answered it
+  std::int64_t prefix_reused = 0;         // rule (b) answered it
+  std::int64_t searched_and_found = 0;    // Alg. 2 backtracking succeeded
+  std::int64_t past_failure_cases = 0;    // reference failures past one
+  for (int strip = 0; strip < 500; ++strip) {
+    RecordingStore store;
+    const std::int64_t length = rng.UniformInt(4, 40);
+    FillStrip(rng, length, store);
+    IntraPlanOptions options;
+    if (rng.Bernoulli(0.3)) {
+      options.max_wait = static_cast<std::int32_t>(rng.UniformInt(1, 24));
+      options.max_stops = static_cast<std::int32_t>(rng.UniformInt(1, 32));
+      options.max_probes = rng.UniformInt(2, 64);
+    }
+    for (int query = 0; query < 6; ++query) {
+      const TimeStep start = rng.UniformInt(0, 40);
+      const std::int64_t entry = rng.UniformInt(0, length - 1);
+      if (store.OccupiedAt(entry, start)) continue;  // illegal query state
+      SCOPED_TRACE(::testing::Message()
+                   << "strip " << strip << " length " << length << " start "
+                   << start << " entry " << entry);
+
+      std::vector<std::int64_t> order(static_cast<std::size_t>(length));
+      for (std::int64_t x = 0; x < length; ++x) order[x] = x;
+      rng.Shuffle(order);
+
+      StripExits exits(store, start, entry, options);
+      // Per direction (0: lower grid numbers, 1: higher), the nearest
+      // failure and the farthest free direct move seen so far.
+      std::int64_t nearest_failure[2] = {length, length};
+      std::int64_t farthest_free[2] = {0, 0};
+      std::vector<bool> reachable(static_cast<std::size_t>(length));
+      for (const std::int64_t x : order) {
+        const std::int64_t dist = x > entry ? x - entry : entry - x;
+        const int side = x > entry ? 1 : 0;
+        store.probed.clear();
+        const auto got = exits.PlanTo(x);
+        const std::size_t memo_probes = store.probed.size();
+        const auto want = PlanWithinStrip(store, start, entry, x, options);
+        ++exits_checked;
+
+        ASSERT_EQ(got.has_value(), want.has_value()) << "exit " << x;
+        if (want.has_value()) {
+          EXPECT_EQ(got->segments, want->segments) << "exit " << x;
+          EXPECT_EQ(got->arrival, want->arrival) << "exit " << x;
+          EXPECT_EQ(got->probes, static_cast<std::int64_t>(memo_probes));
+        }
+        reachable[x] = want.has_value();
+        if (x == entry) continue;
+
+        if (dist >= nearest_failure[side]) {
+          ++skipped_past_failure;
+          EXPECT_EQ(memo_probes, 0u) << "exit " << x << " was searched";
+        } else if (dist <= farthest_free[side]) {
+          ++prefix_reused;
+          EXPECT_EQ(memo_probes, 0u) << "exit " << x << " was probed";
+        }
+        const Segment direct({start, entry}, {start + dist, x});
+        if (!want.has_value()) {
+          nearest_failure[side] = std::min(nearest_failure[side], dist);
+        } else if (want->segments.size() == 1 &&
+                   want->segments[0] == direct) {
+          farthest_free[side] = std::max(farthest_free[side], dist);
+        } else {
+          ++searched_and_found;
+        }
+      }
+
+      // Alg. 2 alone: no exit past a failed one is reachable.
+      for (const int dir : {-1, 1}) {
+        bool failed = false;
+        for (std::int64_t x = entry + dir; x >= 0 && x < length; x += dir) {
+          if (failed) {
+            ++past_failure_cases;
+            EXPECT_FALSE(reachable[x])
+                << "exit " << x << " reached past a failed exit";
+          }
+          failed = failed || !reachable[x];
+        }
+      }
+    }
+  }
+  EXPECT_GT(exits_checked, 40000);
+  EXPECT_GT(skipped_past_failure, 5000);
+  EXPECT_GT(prefix_reused, 20000);
+  EXPECT_GT(searched_and_found, 3000);
+  EXPECT_GT(past_failure_cases, 5000);
+  std::cout << "exits " << exits_checked << ", skipped past a failure "
+            << skipped_past_failure << ", prefix reused " << prefix_reused
+            << ", backtracking found " << searched_and_found
+            << ", past-a-failure cases " << past_failure_cases << "\n";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StripExitsPropertyTest,
+                         ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace carp::srp
