@@ -142,8 +142,8 @@ inline void PrintRunSummary(const std::vector<sim::RunMetrics>& runs,
                             std::ostream& os) {
   TableWriter table({"day", "algorithm", "tasks", "TC(s)", "peak MC(MiB)",
                      "end MC(MiB)", "makespan(OG)", "failed", "fallbacks",
-                     "speculated", "conflict-rate", "shard-cont%", "released",
-                     "live", "blk-skip%", "collision-free"});
+                     "speculated", "conflict-rate", "released", "live",
+                     "blk-skip%", "collision-free"});
   for (const auto& r : runs) {
     table.AddRow({std::to_string(r.day), r.algorithm,
                   std::to_string(r.total_tasks),
@@ -159,7 +159,6 @@ inline void PrintRunSummary(const std::vector<sim::RunMetrics>& runs,
                   std::to_string(r.planner_stats.fallbacks),
                   std::to_string(r.planner_stats.speculative_routes),
                   FormatDouble(r.planner_stats.SpeculationConflictRate(), 3),
-                  FormatDouble(r.planner_stats.ShardContentionRate() * 100, 1),
                   std::to_string(r.routes_released),
                   std::to_string(r.end_live_routes),
                   FormatDouble(r.planner_stats.BlockSkipRate() * 100, 1),
@@ -223,11 +222,6 @@ inline void WriteRunsJson(const std::string& path, const std::string& bench,
         << ", \"blocks_skipped\": " << r.planner_stats.blocks_skipped
         << ", \"candidates_pruned_by_summary\": "
         << r.planner_stats.candidates_pruned_by_summary
-        << ", \"shard_commits\": " << r.planner_stats.shard_commits
-        << ", \"shard_lock_contentions\": "
-        << r.planner_stats.shard_lock_contentions
-        << ", \"shard_commit_retries\": "
-        << r.planner_stats.shard_commit_retries
         << ", \"buckets_erased\": " << r.planner_stats.buckets_erased
         << ", \"collision_free\": "
         << (r.validated ? (r.collision_free ? "true" : "false") : "null")

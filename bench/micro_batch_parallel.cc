@@ -1,16 +1,12 @@
 // Micro-benchmark: speculative parallel batch planning (core::PlanBatch's
-// validate-and-commit pipeline) across thread counts on the paper's three
+// validate-then-commit pipeline) across thread counts on the paper's three
 // warehouses. For each warehouse a fixed batch of rack-access -> picker
 // queries is planned by a fresh SRP planner at threads = 1 (the classic
-// serial prioritized loop) and at 2/4/8 workers in two commit variants:
-// "spec" (speculative queries, serial commits) and "sharded" (speculative
-// queries + strip-sharded concurrent commits, DESIGN.md §2h). The run
-// reports wall-clock, speedup over serial, the speculation conflict rate,
-// shard-lock contention/retry counters, whether the committed set
-// validates collision-free, whether the sharded pipeline committed
-// exactly the speculative pipeline's routes (the §2h guarantee — sharding
-// changes who executes the mutation, never what is decided), and whether
-// each parallel variant matched the serial loop. The last column is
+// serial prioritized loop) and at 2/4/8 workers ("spec": speculative
+// queries on the pool, validate-then-commit on the calling thread). The
+// run reports wall-clock, speedup over serial, the speculation conflict
+// rate, whether the committed set validates collision-free, and whether
+// each parallel run matched the serial loop. The last column is
 // informational: speculative queries plan against the wave-start
 // snapshot, so in one large contended batch the accepted routes can
 // legitimately differ from the serial loop's (still collision-free); see
@@ -74,24 +70,18 @@ struct Row {
   std::int64_t speculated = 0;
   std::int64_t invalidated = 0;
   double conflict_rate = 0;
-  std::int64_t shard_commits = 0;
-  std::int64_t shard_contentions = 0;
-  std::int64_t shard_retries = 0;
   std::size_t retained_bytes = 0;
   std::size_t live_routes = 0;
   bool collision_free = false;
   bool serial_equal = true;
-  bool pipeline_equal = true;
   std::vector<core::Route> committed;
 };
 
 Row RunOne(const layout::Warehouse& warehouse, const std::string& name,
-           const std::vector<core::BatchQuery>& queries, int threads,
-           bool sharded) {
+           const std::vector<core::BatchQuery>& queries, int threads) {
   srp::SrpPlanner planner(warehouse.matrix);
   core::BatchPlanOptions options;
   options.threads = threads;
-  options.sharded_commit = sharded;
 
   Stopwatch watch;
   watch.Start();
@@ -100,7 +90,7 @@ Row RunOne(const layout::Warehouse& warehouse, const std::string& name,
 
   Row row;
   row.warehouse = name;
-  row.variant = threads == 1 ? "serial" : (sharded ? "sharded" : "spec");
+  row.variant = threads == 1 ? "serial" : "spec";
   row.queries = queries.size();
   row.threads = threads;
   row.seconds = watch.elapsed_seconds();
@@ -108,9 +98,6 @@ Row RunOne(const layout::Warehouse& warehouse, const std::string& name,
   row.speculated = result.speculated;
   row.invalidated = result.invalidated;
   row.conflict_rate = result.ConflictRate();
-  row.shard_commits = result.shard_commits;
-  row.shard_contentions = result.shard_contentions;
-  row.shard_retries = result.shard_retries;
   row.retained_bytes = planner.RetainedBytes();
   row.live_routes = planner.live_routes();
   row.collision_free =
@@ -152,8 +139,8 @@ int main(int argc, char** argv) {
 
   TableWriter table({"warehouse", "variant", "threads", "seconds", "speedup",
                      "planned", "speculated", "invalidated", "conflict-rate",
-                     "shard-cont", "retries", "retained(KiB)", "live",
-                     "collision-free", "sharded=spec", "serial-equal"});
+                     "retained(KiB)", "live", "collision-free",
+                     "serial-equal"});
   std::vector<Row> rows;
   for (const auto& name : names) {
     const layout::Warehouse warehouse =
@@ -162,48 +149,29 @@ int main(int argc, char** argv) {
 
     double serial_seconds = 0;
     std::vector<core::Route> serial_committed;
-    std::vector<core::Route> spec_committed;
     for (int threads : thread_counts) {
-      // threads = 1 is the classic serial loop; each parallel thread count
-      // runs both commit variants against the same batch.
-      for (const bool sharded : threads == 1 ? std::vector<bool>{false}
-                                             : std::vector<bool>{false, true}) {
-        Row row = RunOne(warehouse, name, queries, threads, sharded);
-        if (threads == 1) {
-          serial_seconds = row.seconds;
-          serial_committed = row.committed;
-        } else {
-          row.serial_equal = serial_committed == row.committed;
-          // The §2h guarantee: at the same thread count (same waves), the
-          // sharded pipeline commits exactly the speculative pipeline's
-          // route set.
-          if (sharded) {
-            row.pipeline_equal = spec_committed == row.committed;
-          } else {
-            spec_committed = row.committed;
-          }
-        }
-        row.speedup = row.seconds > 0 ? serial_seconds / row.seconds : 0.0;
-        table.AddRow({row.warehouse, row.variant,
-                      std::to_string(row.threads),
-                      FormatDouble(row.seconds, 4),
-                      FormatDouble(row.speedup, 2),
-                      std::to_string(row.planned),
-                      std::to_string(row.speculated),
-                      std::to_string(row.invalidated),
-                      FormatDouble(row.conflict_rate, 4),
-                      std::to_string(row.shard_contentions),
-                      std::to_string(row.shard_retries),
-                      FormatDouble(
-                          static_cast<double>(row.retained_bytes) / 1024.0, 1),
-                      std::to_string(row.live_routes),
-                      row.collision_free ? "yes" : "NO",
-                      row.variant == "sharded"
-                          ? (row.pipeline_equal ? "yes" : "NO")
-                          : "-",
-                      row.serial_equal ? "yes" : "NO"});
-        rows.push_back(std::move(row));
+      // threads = 1 is the classic serial loop.
+      Row row = RunOne(warehouse, name, queries, threads);
+      if (threads == 1) {
+        serial_seconds = row.seconds;
+        serial_committed = row.committed;
+      } else {
+        row.serial_equal = serial_committed == row.committed;
       }
+      row.speedup = row.seconds > 0 ? serial_seconds / row.seconds : 0.0;
+      table.AddRow({row.warehouse, row.variant, std::to_string(row.threads),
+                    FormatDouble(row.seconds, 4),
+                    FormatDouble(row.speedup, 2),
+                    std::to_string(row.planned),
+                    std::to_string(row.speculated),
+                    std::to_string(row.invalidated),
+                    FormatDouble(row.conflict_rate, 4),
+                    FormatDouble(
+                        static_cast<double>(row.retained_bytes) / 1024.0, 1),
+                    std::to_string(row.live_routes),
+                    row.collision_free ? "yes" : "NO",
+                    row.serial_equal ? "yes" : "NO"});
+      rows.push_back(std::move(row));
     }
   }
   table.Print(std::cout);
@@ -222,13 +190,9 @@ int main(int argc, char** argv) {
         << ", \"speculated\": " << r.speculated
         << ", \"invalidated\": " << r.invalidated
         << ", \"conflict_rate\": " << r.conflict_rate
-        << ", \"shard_commits\": " << r.shard_commits
-        << ", \"shard_contentions\": " << r.shard_contentions
-        << ", \"shard_retries\": " << r.shard_retries
         << ", \"retained_bytes\": " << r.retained_bytes
         << ", \"live_routes\": " << r.live_routes
         << ", \"collision_free\": " << (r.collision_free ? "true" : "false")
-        << ", \"pipeline_equal\": " << (r.pipeline_equal ? "true" : "false")
         << ", \"serial_equal\": " << (r.serial_equal ? "true" : "false")
         << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }

@@ -23,8 +23,8 @@
 //                  [--policy=random|hotspot|locality] [--strict] [--out=FILE]
 //
 // The refiner runs serially by default (speculative pool repair costs more
-// than it saves on few-core hosts); --pooled turns the concurrent
-// speculative-query + sharded-commit path back on.
+// than it saves on few-core hosts); --pooled runs the repair's speculative
+// queries on a thread pool (validation and commits stay serial).
 
 #include <algorithm>
 #include <cstdlib>

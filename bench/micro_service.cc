@@ -1,20 +1,17 @@
 // Micro-benchmark: the request-stream service front-end (src/service/)
-// over the sharded concurrent-commit pipeline (DESIGN.md §2h).
+// over PlanBatch's speculative validate-then-commit pipeline.
 //
 // A day-shaped stream of rack-access -> picker requests (double-surge
 // arrival profile) is admitted to a PlannerService and drained wave by
 // wave, with route retirement and cadence pruning on. Every backend runs
-// three commit variants — serial (threads=1), speculative nonsharded and
-// sharded (threads=4) — and the run reports wall-clock, per-request
-// latency percentiles, queue delay, speculation + shard-contention
-// counters, collision-freedom over the *entire archived history*, and
-// whether each variant committed exactly the serial variant's routes.
+// two variants — serial (threads=1) and speculative (threads=4) — and the
+// run reports wall-clock, per-request latency percentiles, queue delay,
+// speculation counters, collision-freedom over the *entire archived
+// history*, and whether the speculative variant committed exactly the
+// serial variant's routes.
 //
 // Equivalence gating (--strict exits nonzero; wired into CI bench-smoke):
 //   - every variant's full archive must validate collision-free;
-//   - sharded must commit exactly the nonsharded speculative pipeline's
-//     routes for *every* backend (the sharded pipeline changes who executes
-//     the state mutation, never the accept/reject decisions);
 //   - serial-equivalence is enforced where the speculative query phase is
 //     exact (SAP, SRP). RP/TWP/ACP's query phase is a documented
 //     conservative stand-in for their serial shortcutting (no joint
@@ -83,7 +80,6 @@ std::vector<service::PlanRequest> MakeRequests(const layout::Warehouse& w,
 struct Variant {
   std::string name;
   int threads;
-  bool sharded;
 };
 
 struct Row {
@@ -103,20 +99,14 @@ struct Row {
   std::int64_t prunes = 0;
   std::int64_t speculated = 0;
   std::int64_t invalidated = 0;
-  std::int64_t shard_commits = 0;
-  std::int64_t shard_contentions = 0;
-  std::int64_t shard_retries = 0;
-  double shard_contention_rate = 0;
   bool collision_free = false;
   bool serial_equivalent = true;
-  bool pipeline_equivalent = true;  // sharded row: archive == spec archive
   std::vector<core::Route> archive;
 };
 
 // Backends whose speculative query phase is their exact serial search, so
-// the parallel pipelines are bit-identical to the serial loop (see the
-// GridPlannerBase contract; SRP's equivalence is the §2h determinism
-// argument).
+// the parallel pipeline is bit-identical to the serial loop (see the
+// GridPlannerBase contract and DESIGN.md §2b).
 bool ExactSpeculation(const std::string& algorithm) {
   return algorithm == "SAP" || algorithm.rfind("SRP", 0) == 0;
 }
@@ -132,7 +122,6 @@ Row RunOne(const layout::Warehouse& warehouse, const std::string& algorithm,
 
   service::ServiceOptions options;
   options.threads = variant.threads;
-  options.sharded_commit = variant.sharded;
   options.retire_routes = true;
   options.prune_every = 512;
   options.prune_slack = 64;
@@ -163,10 +152,6 @@ Row RunOne(const layout::Warehouse& warehouse, const std::string& algorithm,
   row.prunes = m.prunes;
   row.speculated = m.speculated;
   row.invalidated = m.invalidated;
-  row.shard_commits = m.shard_commits;
-  row.shard_contentions = m.shard_contentions;
-  row.shard_retries = m.shard_retries;
-  row.shard_contention_rate = m.ShardContentionRate();
   // The archive is the service's whole committed history (retirement only
   // releases planner state) — the collision oracle audits all of it.
   row.collision_free = core::ValidateRoutes(svc.archive());
@@ -181,7 +166,7 @@ int main(int argc, char** argv) {
   using namespace carp;
 
   // Dense by default (several releases per timestep at the surges) so the
-  // waves are big enough to engage the speculative + sharded pipelines.
+  // waves are big enough to engage the speculative pipeline.
   std::size_t request_count = 240;
   TimeStep day_length = 64;
   int threads = 4;
@@ -219,9 +204,8 @@ int main(int argc, char** argv) {
       MakeRequests(warehouse, request_count, day_length, /*seed=*/2023);
 
   const std::vector<Variant> variants = {
-      {"serial", 1, false},
-      {"spec", threads, false},
-      {"sharded", threads, true},
+      {"serial", 1},
+      {"spec", threads},
   };
 
   std::cout << "=== request-stream service front-end (W-1) ===\n"
@@ -232,9 +216,8 @@ int main(int argc, char** argv) {
 
   TableWriter table({"algorithm", "variant", "threads", "seconds", "waves",
                      "planned", "failed", "lat-p50(ms)", "lat-p99(ms)",
-                     "qdelay-p99", "retired", "conflict-rate", "shard-cont%",
-                     "retries", "collision-free", "serial-equal",
-                     "sharded=spec"});
+                     "qdelay-p99", "retired", "conflict-rate",
+                     "collision-free", "serial-equal"});
   std::vector<Row> rows;
   bool all_ok = true;
   for (const auto& algorithm : algorithms) {
@@ -246,16 +229,10 @@ int main(int argc, char** argv) {
     for (std::size_t v = 1; v < algo_rows.size(); ++v) {
       algo_rows[v].serial_equivalent = serial_archive == algo_rows[v].archive;
     }
-    // Pipeline equivalence: the sharded commit path must produce exactly
-    // the nonsharded speculative pipeline's archive (same decisions,
-    // concurrent mutation) for every backend.
-    algo_rows[2].pipeline_equivalent =
-        algo_rows[1].archive == algo_rows[2].archive;
-
     for (std::size_t v = 0; v < algo_rows.size(); ++v) {
       Row& row = algo_rows[v];
       const bool gate_serial = ExactSpeculation(algorithm);
-      all_ok = all_ok && row.collision_free && row.pipeline_equivalent &&
+      all_ok = all_ok && row.collision_free &&
                (!gate_serial || row.serial_equivalent);
       const double conflict_rate =
           row.speculated == 0 ? 0.0
@@ -268,11 +245,8 @@ int main(int argc, char** argv) {
            FormatDouble(row.latency_p50, 3), FormatDouble(row.latency_p99, 3),
            FormatDouble(row.queue_delay_p99, 0), std::to_string(row.retired),
            FormatDouble(conflict_rate, 4),
-           FormatDouble(row.shard_contention_rate * 100, 1),
-           std::to_string(row.shard_retries),
            row.collision_free ? "yes" : "NO",
-           v == 0 ? "-" : (row.serial_equivalent ? "yes" : "no"),
-           v == 2 ? (row.pipeline_equivalent ? "yes" : "NO") : "-"});
+           v == 0 ? "-" : (row.serial_equivalent ? "yes" : "no")});
       rows.push_back(std::move(row));
     }
   }
@@ -298,23 +272,16 @@ int main(int argc, char** argv) {
         << ", \"retired\": " << r.retired << ", \"prunes\": " << r.prunes
         << ", \"speculated\": " << r.speculated
         << ", \"invalidated\": " << r.invalidated
-        << ", \"shard_commits\": " << r.shard_commits
-        << ", \"shard_contentions\": " << r.shard_contentions
-        << ", \"shard_retries\": " << r.shard_retries
-        << ", \"shard_contention_rate\": " << r.shard_contention_rate
         << ", \"collision_free\": " << (r.collision_free ? "true" : "false")
         << ", \"serial_equivalent\": "
-        << (r.serial_equivalent ? "true" : "false")
-        << ", \"pipeline_equivalent\": "
-        << (r.pipeline_equivalent ? "true" : "false") << "}"
+        << (r.serial_equivalent ? "true" : "false") << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
   std::cout << "\nwrote " << out_path << "\n";
 
   if (strict && !all_ok) {
-    std::cerr << "\nSTRICT FAILURE: a variant missed a conflict, the sharded "
-                 "pipeline diverged from the speculative pipeline, or an "
+    std::cerr << "\nSTRICT FAILURE: a variant missed a conflict, or an "
                  "exact-speculation backend diverged from serial\n";
     return 1;
   }

@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "common/logging.h"
-#include "common/sharded_lock.h"
 #include "core/planner.h"
 #include "core/reservation_table.h"
 #include "core/spacetime_astar.h"
@@ -96,44 +95,9 @@ class GridPlannerBase : public core::Planner {
 
   void CommitRoute(const core::Route& route) override { Commit(route); }
 
-  /// Sharded-commit contract (DESIGN.md §2h), coarse-grained: the
-  /// reservation table has no strip partition, so the whole planner is a
-  /// single shard and concurrent commits serialize on one lock. What the
-  /// contract still buys is uniformity — PlanBatch's sharded pipeline and
-  /// the service front-end drive all six backends identically — and
-  /// bit-identical ids: BeginShardedCommit draws the stable route id on
-  /// the serial thread in priority order, so ids, the log and the id maps
-  /// match the serial Commit path exactly regardless of which worker's
-  /// Reserve lands first.
-  bool SupportsShardedCommit() const override { return true; }
-  std::size_t CommitShardCount() const override { return 1; }
-  void ComputeShardFootprint(const core::Route& route,
-                             std::vector<std::uint32_t>& out) const override {
-    (void)route;
-    out.assign(1, 0);
-  }
-  std::uint64_t BeginShardedCommit(const core::Route& route) override {
-    (void)route;
-    return static_cast<std::uint64_t>(next_route_id_++);
-  }
-  void CommitRouteSharded(const core::Route& route,
-                          std::uint64_t ticket) override {
-    static const std::vector<std::uint32_t> kWholePlanner{0};
-    ShardLockSet::CommitGuard guard(commit_lock_, kWholePlanner);
-    reservations_.Reserve(static_cast<core::RouteId>(ticket), route);
-  }
-  void NoteShardedCommitted(const core::Route& route,
-                            std::uint64_t ticket) override {
-    const core::RouteId id = static_cast<core::RouteId>(ticket);
-    id_index_[id] = route_log_.size();
-    route_ids_.push_back(id);
-    route_log_.push_back(route);
-  }
-
   bool ReleaseRoute(const core::Route& route) override {
     // Newest equal entry, like the base planner: equal routes are
-    // interchangeable, and the one most recently committed is the one a
-    // speculative rollback targets.
+    // interchangeable.
     for (std::size_t i = route_log_.size(); i > 0; --i) {
       if (route_log_[i - 1] == route) {
         reservations_.Release(route_ids_[i - 1], route);
@@ -173,7 +137,6 @@ class GridPlannerBase : public core::Planner {
     route_ids_.clear();
     id_index_.clear();
     next_route_id_ = 0;
-    commit_lock_.ResetStats();
     stats_ = core::PlannerStats{};
     peak_search_bytes_ = 0;
   }
@@ -190,14 +153,10 @@ class GridPlannerBase : public core::Planner {
 
   const core::ReservationTable& reservations() const { return reservations_; }
 
-  /// Committed-state counters plus a live overlay of the commit lock's
-  /// contention counters and the reservation table's erased-bucket count.
+  /// Committed-state counters plus a live overlay of the reservation
+  /// table's erased-bucket count.
   const core::PlannerStats& stats() const override {
     stats_view_ = stats_;
-    const ShardLockSet::Stats sl = commit_lock_.stats();
-    stats_view_.shard_commits = sl.commits;
-    stats_view_.shard_lock_contentions = sl.contentions;
-    stats_view_.shard_commit_retries = sl.retries;
     stats_view_.buckets_erased = reservations_.buckets_erased();
     return stats_view_;
   }
@@ -293,11 +252,6 @@ class GridPlannerBase : public core::Planner {
   std::vector<core::RouteId> route_ids_;
   std::unordered_map<core::RouteId, std::size_t> id_index_;
   core::RouteId next_route_id_ = 0;
-
-  // The single "shard" of the coarse-grained sharded-commit contract: one
-  // lock over the whole reservation table, with the same contention
-  // telemetry the SRP shards report.
-  ShardLockSet commit_lock_{1};
 };
 
 }  // namespace carp::baselines

@@ -50,15 +50,6 @@ class RpPlanner final : public GridPlannerBase {
     earliest_starts_.push_back(route.start_time());
   }
 
-  /// Same alignment duty on the sharded-commit path: the base logs the
-  /// route at flush time (serially, in priority order), so the start
-  /// array is extended right there.
-  void NoteShardedCommitted(const core::Route& route,
-                            std::uint64_t ticket) override {
-    GridPlannerBase::NoteShardedCommitted(route, ticket);
-    earliest_starts_.push_back(route.start_time());
-  }
-
  protected:
   void OnRouteErased(std::size_t index) override {
     earliest_starts_.erase(earliest_starts_.begin() +

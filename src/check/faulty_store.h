@@ -33,14 +33,6 @@ enum class StoreFault {
   /// originals bit-identically) can trip it, and the live-multiset audit
   /// of FuzzLifecycleRollback must flag the loss.
   kLostRollback,
-  /// Every 7th committed segment is *accounted* to the wrong shard of the
-  /// ShardMap while the segment itself lands in the right strip store —
-  /// the shape of "computed the owner from the wrong leg" in the sharded
-  /// commit path (DESIGN.md §2h). Totals still match, so only the
-  /// per-shard audit (ShardMap::CheckInvariants against per-strip store
-  /// sizes) can see it. This fault lives above any single store: it is
-  /// exercised by FuzzShardAccounting, not by FaultySegmentStore.
-  kCrossShardLeak,
 };
 
 /// A correct store with one injected bug, for proving the differential

@@ -162,95 +162,52 @@ PlannerDiffResult RunPlannerDifferential(const PlannerDiffOptions& opt) {
     }
   }
 
-  // ---- 3) Serial-vs-speculative equality, the one determinism promise
-  // across thread counts: PlanBatch's commit-then-validate pipeline in
-  // fixed priority order must reproduce the serial prioritized loop.
-  {
-    const auto queries = MakeQueries(warehouse, 24, opt.seed + 1);
-    srp::SrpPlanner serial(warehouse.matrix);
-    core::PlanBatch(serial, 0, queries);
-    if (!core::ValidateRoutes(serial.committed_routes())) {
-      return fail("serial PlanBatch route set is NOT collision-free");
-    }
-    for (int threads : opt.thread_counts) {
-      if (threads <= 1) continue;
-      srp::SrpPlanner speculative(warehouse.matrix);
-      core::BatchPlanOptions bopts;
-      bopts.threads = threads;
-      bopts.sharded_commit = false;  // the sharded pipeline is phase 3b's job
-      core::PlanBatch(speculative, 0, queries, bopts);
-      if (speculative.committed_routes() != serial.committed_routes()) {
-        std::ostringstream what;
-        what << "speculative PlanBatch (threads=" << threads
-             << ") diverged from the serial prioritized loop";
-        return fail(what.str());
-      }
-    }
-  }
-
-  // ---- 3b) Sharded-commit differential (DESIGN.md §2h), every backend:
-  // the sharded pipeline changes who executes the commit mutation, never
-  // the accept/reject decisions, so for identical queries it must commit
-  // exactly the nonsharded speculative pipeline's route set — and for
-  // backends whose speculative query phase is their exact serial search
-  // (SAP and the SRP variants) both must equal the serial loop. SRP
-  // additionally proves its sharded state: clean shard/store invariants,
-  // equal segment counts, and commits actually routed through the shard
-  // locks.
+  // ---- 3) Serial-vs-speculative differential, every backend: PlanBatch's
+  // validate-then-commit pipeline must commit a collision-free route set,
+  // and for backends whose speculative query phase is their exact serial
+  // search (SAP and the SRP variants) it must reproduce the serial
+  // prioritized loop — the one determinism promise across thread counts.
+  // SRP additionally proves its state: clean store/counter invariants and
+  // the serial loop's segment count.
   for (const std::string& backend : Backends()) {
-    const auto queries = MakeQueries(warehouse, 24, opt.seed + 3);
+    const auto queries = MakeQueries(warehouse, 24, opt.seed + 1);
     auto serial = baselines::MakePlanner(backend, warehouse.matrix);
     core::PlanBatch(*serial, 0, queries);
+    if (!core::ValidateRoutes(serial->committed_routes())) {
+      return fail(backend +
+                  ": serial PlanBatch route set is NOT collision-free");
+    }
+    const bool exact_speculation =
+        backend == "SAP" || backend.rfind("SRP", 0) == 0;
     for (int threads : opt.thread_counts) {
       if (threads <= 1) continue;
-      auto spec = baselines::MakePlanner(backend, warehouse.matrix);
-      auto sharded = baselines::MakePlanner(backend, warehouse.matrix);
+      auto speculative = baselines::MakePlanner(backend, warehouse.matrix);
       core::BatchPlanOptions bopts;
       bopts.threads = threads;
-      bopts.sharded_commit = false;
-      core::PlanBatch(*spec, 0, queries, bopts);
-      bopts.sharded_commit = true;
-      const core::BatchResult sharded_result =
-          core::PlanBatch(*sharded, 0, queries, bopts);
+      core::PlanBatch(*speculative, 0, queries, bopts);
 
       std::ostringstream tag;
       tag << backend << " threads=" << threads;
-      if (!core::ValidateRoutes(sharded->committed_routes())) {
+      if (!core::ValidateRoutes(speculative->committed_routes())) {
         return fail(tag.str() +
-                    ": sharded-commit route set is NOT collision-free");
+                    ": speculative PlanBatch route set is NOT collision-free");
       }
-      if (sharded->committed_routes() != spec->committed_routes()) {
-        return fail(tag.str() +
-                    ": sharded commit diverged from the speculative pipeline");
-      }
-      const bool exact_speculation =
-          backend == "SAP" || backend.rfind("SRP", 0) == 0;
       if (exact_speculation &&
-          sharded->committed_routes() != serial->committed_routes()) {
+          speculative->committed_routes() != serial->committed_routes()) {
         return fail(tag.str() +
-                    ": sharded commit diverged from the serial loop");
+                    ": speculative PlanBatch diverged from the serial loop");
       }
-      if (auto* srp = dynamic_cast<srp::SrpPlanner*>(sharded.get())) {
+      if (auto* srp = dynamic_cast<srp::SrpPlanner*>(speculative.get())) {
         if (std::string err = srp->CheckInvariants(); !err.empty()) {
-          return fail(tag.str() + ": sharded state: " + err);
+          return fail(tag.str() + ": speculative state: " + err);
         }
         auto* srp_serial = dynamic_cast<srp::SrpPlanner*>(serial.get());
         if (srp_serial != nullptr &&
             srp->SegmentCount() != srp_serial->SegmentCount()) {
           std::ostringstream what;
-          what << tag.str() << ": sharded stores hold " << srp->SegmentCount()
-               << " segments, serial holds " << srp_serial->SegmentCount();
-          return fail(what.str());
-        }
-        // Every accepted speculative route commits through the shard locks.
-        const std::int64_t accepted =
-            sharded_result.speculated - sharded_result.invalidated;
-        if (sharded_result.shard_commits < accepted) {
-          std::ostringstream what;
-          what << tag.str() << ": " << accepted
-               << " speculative routes accepted but only "
-               << sharded_result.shard_commits
-               << " commits went through the shard locks";
+          what << tag.str() << ": speculative stores hold "
+               << srp->SegmentCount() << " segments, serial holds "
+               << srp_serial->SegmentCount();
           return fail(what.str());
         }
       }

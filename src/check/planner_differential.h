@@ -35,14 +35,12 @@ struct PlannerDiffResult {
 ///  * SRP vs SRP-indexed route-set equality — the slope index is a drop-in
 ///    replacement for the default sorted store, so the two backends must plan
 ///    byte-identical routes for the same task stream;
-///  * PlanBatch serial-vs-speculative equality on SRP — the one place the
-///    codebase promises determinism across thread counts (commit-then-
-///    validate in fixed priority order);
-///  * sharded-commit differential (DESIGN.md §2h), every backend: the
-///    sharded pipeline must commit exactly the speculative pipeline's
-///    route set (and, for exact-speculation backends — SAP and the SRP
-///    variants — the serial loop's), with clean shard/store invariants
-///    and every accepted route routed through the shard locks.
+///  * PlanBatch serial-vs-speculative differential, every backend: the
+///    threaded pipeline (validate-then-commit in fixed priority order)
+///    must commit a collision-free route set, equal to the serial loop's
+///    for exact-speculation backends (SAP and the SRP variants), and SRP
+///    must keep clean store/counter invariants and the serial segment
+///    count.
 ///
 /// Stops at the first violation and reports the scenario knobs that
 /// reproduce it.

@@ -8,7 +8,6 @@
 #include "check/reference_store.h"
 #include "common/rng.h"
 #include "srp/segment_index.h"
-#include "srp/shard_map.h"
 
 namespace carp::check {
 
@@ -254,98 +253,6 @@ StoreFuzzResult FuzzStores(const StoreFuzzOptions& opt,
 
 namespace {
 
-StoreFuzzResult FuzzShardAccountingOneSeed(std::uint64_t seed,
-                                           const ShardFuzzOptions& opt,
-                                           bool inject_cross_shard_leak) {
-  StoreFuzzResult result;
-  Rng rng(seed);
-  OpLog log;
-
-  srp::ShardMap accounting(opt.strips, opt.shards);
-  std::vector<std::unique_ptr<srp::SegmentStore>> stores;
-  for (std::size_t s = 0; s < opt.strips; ++s) {
-    stores.push_back(std::make_unique<srp::NaiveSegmentStore>());
-  }
-  // (strip, segment) pairs currently committed, for removes that hit.
-  std::vector<std::pair<std::size_t, geometry::Segment>> committed;
-  std::int64_t inserts = 0;
-
-  auto fail = [&](int op_index, const std::string& what) -> StoreFuzzResult {
-    std::ostringstream out;
-    out << "shard accounting divergence: seed=" << seed << " op=" << op_index
-        << ": " << what << "\nlast ops (replay with this seed):"
-        << log.Dump();
-    result.ok = false;
-    result.failing_seed = seed;
-    result.error = out.str();
-    return result;
-  };
-
-  StoreFuzzOptions seg;
-  seg.strip_length = opt.strip_length;
-  seg.time_horizon = opt.time_horizon;
-  seg.max_duration = opt.max_duration;
-
-  for (int op = 0; op < opt.ops_per_seed; ++op) {
-    ++result.ops_executed;
-    const std::uint32_t roll = rng.UniformU32(100);
-    std::ostringstream opdesc;
-
-    if (roll < 55) {  // Insert into a random strip
-      const std::size_t strip =
-          rng.UniformU32(static_cast<std::uint32_t>(opt.strips));
-      const geometry::Segment s = RandomSegment(rng, seg);
-      opdesc << "Insert strip=" << strip << " " << s;
-      stores[strip]->Insert(s);
-      committed.emplace_back(strip, s);
-      std::uint32_t shard = accounting.ShardOf(static_cast<srp::StripId>(strip));
-      if (inject_cross_shard_leak && ++inserts % 7 == 0) {
-        // The leak: right store, wrong ledger. Totals still balance.
-        shard = (shard + 1) % static_cast<std::uint32_t>(accounting.shard_count());
-      }
-      accounting.AddSegments(shard, 1);
-    } else if (roll < 80) {  // Remove a committed segment
-      if (committed.empty()) continue;
-      const std::size_t pick =
-          rng.UniformU32(static_cast<std::uint32_t>(committed.size()));
-      const auto [strip, s] = committed[pick];
-      opdesc << "Remove strip=" << strip << " " << s;
-      if (stores[strip]->Remove(s)) {
-        accounting.AddSegments(accounting.ShardOf(static_cast<srp::StripId>(strip)),
-                               -1);
-      }
-      committed.erase(committed.begin() + static_cast<std::ptrdiff_t>(pick));
-    } else {  // PruneBefore across every strip, like the planner's sweep
-      const TimeStep t = rng.UniformInt(0, opt.time_horizon + opt.max_duration);
-      opdesc << "PruneBefore " << t;
-      for (std::size_t strip = 0; strip < opt.strips; ++strip) {
-        const std::size_t dropped = stores[strip]->PruneBefore(t);
-        accounting.AddSegments(accounting.ShardOf(static_cast<srp::StripId>(strip)),
-                               -static_cast<std::int64_t>(dropped));
-      }
-      std::erase_if(committed, [t](const auto& e) {
-        return e.second.finish().t < t;
-      });
-    }
-    log.Note(opdesc.str());
-
-    // ---- After-every-op audit: the per-shard ledger against the stores.
-    std::vector<std::size_t> per_strip_live(opt.strips, 0);
-    for (std::size_t strip = 0; strip < opt.strips; ++strip) {
-      per_strip_live[strip] = stores[strip]->size();
-    }
-    if (std::string err = accounting.CheckInvariants(per_strip_live);
-        !err.empty()) {
-      return fail(op, err);
-    }
-  }
-  return result;
-}
-
-}  // namespace
-
-namespace {
-
 StoreFuzzResult FuzzLifecycleRollbackOneSeed(std::uint64_t seed,
                                              const LifecycleFuzzOptions& opt,
                                              bool inject_lost_rollback) {
@@ -492,24 +399,6 @@ StoreFuzzResult FuzzLifecycleRollback(const LifecycleFuzzOptions& opt,
   for (int i = 0; i < opt.num_seeds; ++i) {
     StoreFuzzResult one = FuzzLifecycleRollbackOneSeed(
         opt.seed + static_cast<std::uint64_t>(i), opt, inject_lost_rollback);
-    total.ops_executed += one.ops_executed;
-    if (!one.ok) {
-      total.ok = false;
-      total.failing_seed = one.failing_seed;
-      total.error = std::move(one.error);
-      return total;
-    }
-  }
-  return total;
-}
-
-StoreFuzzResult FuzzShardAccounting(const ShardFuzzOptions& opt,
-                                    bool inject_cross_shard_leak) {
-  StoreFuzzResult total;
-  for (int i = 0; i < opt.num_seeds; ++i) {
-    StoreFuzzResult one = FuzzShardAccountingOneSeed(
-        opt.seed + static_cast<std::uint64_t>(i), opt,
-        inject_cross_shard_leak);
     total.ops_executed += one.ops_executed;
     if (!one.ok) {
       total.ok = false;

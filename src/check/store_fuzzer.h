@@ -54,31 +54,6 @@ StoreFuzzResult FuzzOneSeed(std::uint64_t seed, const StoreFuzzOptions& opt,
 StoreFuzzResult FuzzStores(const StoreFuzzOptions& opt,
                            const std::vector<NamedStoreFactory>& factories);
 
-/// Shape of one shard-accounting fuzz run (DESIGN.md §2h): `strips`
-/// per-strip stores partitioned round-robin into `shards` ShardMap shards,
-/// driven by a deterministic Insert / Remove / PruneBefore stream with the
-/// per-shard live-segment accounting maintained the way the sharded commit
-/// path maintains it.
-struct ShardFuzzOptions {
-  std::uint64_t seed = 1;
-  int num_seeds = 1;
-  int ops_per_seed = 256;
-  std::size_t strips = 12;
-  std::size_t shards = 4;
-  std::int64_t strip_length = 48;
-  std::int64_t time_horizon = 256;
-  std::int64_t max_duration = 24;
-};
-
-/// Audits ShardMap::CheckInvariants (every shard's counter == the summed
-/// sizes of its strips' stores) after every op of every seed's stream.
-/// With `inject_cross_shard_leak` (StoreFault::kCrossShardLeak) every 7th
-/// insert is accounted to the wrong shard — totals still match, and the
-/// per-shard audit must flag the leak within the seed budget; a clean run
-/// must stay green for the whole budget.
-StoreFuzzResult FuzzShardAccounting(const ShardFuzzOptions& opt,
-                                    bool inject_cross_shard_leak);
-
 /// Shape of one lifecycle-rollback fuzz run (DESIGN.md §2i): routes of
 /// `segments_per_route` random segments are committed, then repeatedly
 /// released, speculatively "replanned", and either replaced (accepted

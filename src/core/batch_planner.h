@@ -54,22 +54,11 @@ struct BatchPlanOptions {
 
   /// Queries speculated per commit round (the speculative path processes
   /// the batch in priority-order waves: speculate a wave concurrently,
-  /// validate-and-commit it, move on). Small waves keep the invalidation
+  /// validate-then-commit it, move on). Small waves keep the invalidation
   /// rate low — a route only has to survive the <= wave_size - 1 routes
   /// speculated alongside it, not the whole batch. 0 = auto
   /// (max(16, 4 * workers)).
   int wave_size = 0;
-
-  /// Commit accepted speculative routes *concurrently* through the
-  /// planner's shard-footprint contract (Planner::SupportsShardedCommit,
-  /// DESIGN.md §2h) instead of serially: accept/reject decisions stay
-  /// serial in priority order, but each accepted route's state mutation is
-  /// dispatched to the pool and runs under the fine-grained locks of its
-  /// shard footprint — disjoint footprints commit in parallel. Committed
-  /// state, route ids and the route log are bit-identical to the
-  /// nonsharded speculative path (and to serial priority order). Ignored
-  /// for planners without the contract and on the serial path.
-  bool sharded_commit = true;
 };
 
 struct BatchResult {
@@ -97,21 +86,6 @@ struct BatchResult {
                : static_cast<double>(invalidated) /
                      static_cast<double>(speculated);
   }
-
-  /// Sharded concurrent-commit telemetry over this batch (deltas of the
-  /// planner's shard counters; all 0 on the serial and nonsharded paths).
-  std::int64_t shard_commits = 0;
-  std::int64_t shard_contentions = 0;
-  std::int64_t shard_retries = 0;
-
-  /// Fraction of concurrent commits whose first lock sweep hit a shard
-  /// held by another worker.
-  double ShardContentionRate() const {
-    return shard_commits == 0
-               ? 0.0
-               : static_cast<double>(shard_contentions) /
-                     static_cast<double>(shard_commits);
-  }
 };
 
 /// Plans a whole Q_t set emerging at time `t` through `planner`, in the
@@ -129,10 +103,11 @@ BatchResult PlanBatch(Planner& planner, TimeStep t,
 ///   1. query phase — the wave's queries planned concurrently by the pool,
 ///      each worker searching the frozen committed state through its own
 ///      QueryContext;
-///   2. commit pass — sequentially, in priority order, each speculative
-///      route is validated against everything committed before it in the
-///      wave (vertex + swap, Def. 3); valid routes are committed as-is,
-///      invalidated ones are re-planned serially against live state.
+///   2. commit pass — on the calling thread, in priority order, each
+///      speculative route is validated against everything committed before
+///      it in the wave (vertex + swap, Def. 3); valid routes are committed
+///      as-is, invalidated ones are never committed and re-plan serially
+///      against live state.
 ///
 /// The committed set is collision-free by construction and the result is
 /// deterministic for a fixed priority order and wave size regardless of

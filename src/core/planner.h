@@ -80,10 +80,9 @@ struct PlannerStats {
   // sources read them; deleted with the next benchmark change.
   std::int64_t kernel_lanes_processed = 0;
   std::int64_t kernel_lanes_survived = 0;
-  // Sharded commit path (DESIGN.md §2h): routes committed concurrently
-  // through shard-footprint locks, guards whose opportunistic try-lock
-  // sweep hit a held shard, and the re-acquisition passes those guards
-  // needed. All zero on the serial commit path.
+  // Always zero: every commit runs on the calling thread, with no shard
+  // locks. Kept for the frozen daybench (it reads them, with
+  // ShardContentionRate()); deleted with the next benchmark change.
   std::int64_t shard_commits = 0;
   std::int64_t shard_lock_contentions = 0;
   std::int64_t shard_commit_retries = 0;
@@ -150,8 +149,7 @@ struct PlannerStats {
     buckets_erased += other.buckets_erased;
   }
 
-  /// Fraction of sharded commits whose lock sweep hit a held shard — the
-  /// footprint-overlap signal of the concurrent commit path.
+  /// Always zero (see shard_commits); kept for the frozen daybench.
   double ShardContentionRate() const {
     return shard_commits == 0
                ? 0.0
@@ -198,7 +196,7 @@ struct PlannerStats {
 /// Planners that set SupportsSpeculation() additionally split the plan
 /// cycle into a *query* phase and a *commit* phase, so a batch of queries
 /// can be planned concurrently and reconciled afterwards
-/// (core::PlanBatch's validate-and-commit pipeline):
+/// (core::PlanBatch's validate-then-commit pipeline):
 ///
 ///  - QueryRoute() is const and must be safe to call from multiple threads
 ///    at once, each thread passing its own QueryContext. It searches
@@ -209,7 +207,9 @@ struct PlannerStats {
 ///  - CommitRoute() inserts a route previously returned by QueryRoute (or
 ///    PlanRoute on another planner instance) into the committed state. It
 ///    mutates the planner and must be called from one thread at a time,
-///    with no concurrent QueryRoute in flight.
+///    with no concurrent QueryRoute in flight. PlanBatch only commits a
+///    speculative route after validating it, so a loser never touches the
+///    committed state.
 ///  - AbsorbQueryContext() folds a context's counters back into stats()
 ///    once the batch is done.
 ///
@@ -217,43 +217,14 @@ struct PlannerStats {
 /// call. Parallel drivers must not interleave PlanRoute with an active
 /// query phase.
 ///
-/// ## Sharded concurrent commit
-///
-/// Planners that additionally set SupportsShardedCommit() partition their
-/// committed state into ownership shards (SRP: disjoint strip groups; grid
-/// baselines: one coarse shard over the reservation table) and split the
-/// commit of an *accepted* route into three hooks, so PlanBatch can run
-/// state insertion concurrently while every ordering-sensitive decision
-/// stays on the driving thread (DESIGN.md §2h):
-///
-///  - BeginShardedCommit() — serial, called in commit (priority) order the
-///    moment a route is accepted; performs any bookkeeping whose order must
-///    match the serial path (e.g. drawing a stable route id) and returns a
-///    ticket passed to the other two hooks.
-///  - CommitRouteSharded() — thread-safe; inserts the route's collision
-///    state only, acquiring the shard locks of the route's footprint in
-///    canonical order internally. Distinct routes commute: disjoint
-///    footprints run fully in parallel, overlapping ones serialize on the
-///    shared shards, and because shard state is multiset-shaped the final
-///    committed state is identical regardless of interleaving.
-///  - NoteShardedCommitted() — serial, called in commit order after every
-///    CommitRouteSharded of the wave has finished (the driver barriers on
-///    the pool); appends the route log entry and any other serial-order
-///    bookkeeping, so committed_routes() is byte-identical to the serial
-///    path. OnShardedFlush() then runs once per flush, at a point where
-///    state and log agree — the safe place for sampled lifecycle audits.
-///
-/// The accept/reject decision itself never moves off the driving thread,
-/// which is what keeps the whole pipeline bit-identical to serial commit.
-///
 /// ## Route lifecycle
 ///
 /// Committed state is a window, not an append-only log. Two retirement
 /// paths bound it:
 ///
 ///  - ReleaseRoute() retires one committed route — the simulator calls it
-///    when a robot completes a stage, and the batch planner calls it to
-///    undo a speculative commit that lost validation. Releasing is only
+///    when a robot completes a stage, and the LNS refiner calls it to
+///    destroy a neighborhood or roll a repair back. Releasing is only
 ///    legal when every future query's emergence time is >= the released
 ///    route's end time (all planners probe forward from `now`, so state
 ///    wholly in the past cannot influence any future answer).
@@ -339,55 +310,18 @@ class Planner : public MemoryMetered {
     return dropped;
   }
 
-  /// True when this planner implements the sharded concurrent-commit split
-  /// (BeginShardedCommit / CommitRouteSharded / NoteShardedCommitted).
+  // Inert stubs of the deleted strip-sharded commit path (DESIGN.md §2h):
+  // nothing in src/ calls them. Kept for the frozen daybench, whose
+  // TracedPlanner overrides them; deleted with the next benchmark change.
   virtual bool SupportsShardedCommit() const { return false; }
-
-  /// Number of ownership shards the committed state is partitioned into
-  /// (>= 1 when sharded commit is supported; 0 otherwise).
   virtual std::size_t CommitShardCount() const { return 0; }
-
-  /// Writes the sorted, duplicate-free shard footprint of `route` — the
-  /// shards its commit mutates — into `out` (cleared first). Derived from
-  /// the same canonical decomposition the commit itself uses, so the
-  /// footprint provably covers every mutated shard.
-  virtual void ComputeShardFootprint(const Route& route,
+  virtual void ComputeShardFootprint(const Route&,
                                      std::vector<std::uint32_t>& out) const {
-    (void)route;
     out.clear();
   }
-
-  /// Serial pre-commit hook of the sharded path: called in commit order on
-  /// the driving thread when `route` is accepted, before its state commit
-  /// is dispatched. Returns an opaque ticket forwarded to the other two
-  /// hooks (grid baselines pre-draw the stable route id here so ids match
-  /// the serial path exactly).
-  virtual std::uint64_t BeginShardedCommit(const Route& route) {
-    (void)route;
-    return 0;
-  }
-
-  /// Thread-safe state-only commit of an accepted route: inserts collision
-  /// state under the route's shard locks, touching no serial structures
-  /// (route log, id maps, plain counters). Only meaningful when
-  /// SupportsShardedCommit(); the default is fatal.
-  virtual void CommitRouteSharded(const Route& route, std::uint64_t ticket) {
-    (void)route;
-    (void)ticket;
-    CARP_CHECK(false) << name() << " does not support sharded commit";
-  }
-
-  /// Serial post-commit hook: called in commit order once the route's
-  /// CommitRouteSharded (and every earlier one of the wave) has finished.
-  /// Appends the route-log entry; planners add their ordered bookkeeping.
-  virtual void NoteShardedCommitted(const Route& route, std::uint64_t ticket) {
-    (void)ticket;
-    route_log_.push_back(route);
-  }
-
-  /// Serial hook run once after each flush of NoteShardedCommitted calls,
-  /// at a point where committed state and route log agree — the safe spot
-  /// for sampled lifecycle audits deferred off the concurrent path.
+  virtual std::uint64_t BeginShardedCommit(const Route&) { return 0; }
+  virtual void CommitRouteSharded(const Route&, std::uint64_t) {}
+  virtual void NoteShardedCommitted(const Route&, std::uint64_t) {}
   virtual void OnShardedFlush() {}
 
   /// Cost of one committed route under the planner's objective — the
@@ -406,21 +340,17 @@ class Planner : public MemoryMetered {
   /// hashes the route log as a multiset (commit order is bookkeeping, not
   /// collision state — a rollback legally re-appends at the tail).
   /// Planners with derived collision state (SRP's segment stores, the
-  /// crossing registry, the shard ledger) override and fold that state in,
-  /// so a repair that leaks or loses a single segment changes the digest.
+  /// crossing registry, the live-segment counter) override and fold that
+  /// state in, so a repair that leaks or loses a single segment changes the
+  /// digest.
   virtual std::uint64_t StateFingerprint() const {
     std::uint64_t digest = 0;
     for (const Route& route : route_log_) digest += HashRoute(route);
     return digest;
   }
 
-  /// True when ReleaseRoute removes *exactly* the released route's
-  /// contribution even while conflicting routes are committed alongside it
-  /// (multiset-style collision state). Enables PlanBatch's optimistic
-  /// commit-then-validate pipeline, whose losers retire through
-  /// ReleaseRoute. Planners with exclusive-occupancy state (the grid
-  /// reservation table) must leave this false: committing two conflicting
-  /// routes at once is illegal there.
+  /// Inert stub (nothing in src/ calls it); kept for the frozen daybench,
+  /// whose TracedPlanner overrides it.
   virtual bool SupportsExactRelease() const { return false; }
 
   /// Number of routes currently committed (the live window).
@@ -463,7 +393,8 @@ class Planner : public MemoryMetered {
   const std::vector<Route>& committed_routes() const { return route_log_; }
 
   /// Virtual so planners can overlay counters their live structures keep
-  /// (segment-store scans, shard locks) onto the returned snapshot.
+  /// (the grid reservation table's erased buckets) onto the returned
+  /// snapshot.
   virtual const PlannerStats& stats() const { return stats_; }
 
  protected:

@@ -29,8 +29,6 @@ std::int64_t Manhattan(GridCoord a, GridCoord b) {
 LnsRefiner::LnsRefiner(core::Planner& planner, const LnsOptions& options)
     : planner_(planner), options_(options), rng_(options.seed) {
   if (options_.neighborhood < 2) options_.neighborhood = 2;
-  use_sharded_ = options_.sharded_commit && options_.pool != nullptr &&
-                 planner_.SupportsShardedCommit();
 }
 
 NeighborhoodPolicy LnsRefiner::NextPolicy() {
@@ -152,17 +150,6 @@ void LnsRefiner::SelectNeighborhood(const std::vector<LnsCandidate>& live,
   });
 }
 
-void LnsRefiner::CommitOne(const core::Route& route) {
-  if (use_sharded_) {
-    const std::uint64_t ticket = planner_.BeginShardedCommit(route);
-    planner_.CommitRouteSharded(route, ticket);
-    planner_.NoteShardedCommitted(route, ticket);
-    planner_.OnShardedFlush();
-  } else {
-    planner_.CommitRoute(route);
-  }
-}
-
 void LnsRefiner::ReleaseAll(const std::vector<core::Route>& routes) {
   for (std::size_t i = routes.size(); i > 0; --i) {
     const bool released = planner_.ReleaseRoute(routes[i - 1]);
@@ -195,7 +182,7 @@ bool LnsRefiner::Iterate(std::vector<LnsCandidate>& live) {
   }
   if (released < k) {
     for (std::size_t j = released; j > 0; --j) {
-      CommitOne(live[picked_[j - 1]].route);
+      planner_.CommitRoute(live[picked_[j - 1]].route);
     }
     ++stats_.failed_repairs;
     ++stats_.rollbacks;
@@ -230,25 +217,7 @@ bool LnsRefiner::Iterate(std::vector<LnsCandidate>& live) {
 
   // Repair, stage 2: serial validate-then-commit in repair order. A
   // speculative route is used when it survives validation against the
-  // members repaired before it; otherwise the member replans serially —
-  // which requires every pending sharded commit flushed first, exactly the
-  // discipline of core::PlanBatch's sharded pipeline.
-  std::vector<std::pair<core::Route, std::uint64_t>> pending;
-  const auto flush_pending = [&] {
-    if (pending.empty()) return;
-    for (auto& [route, ticket] : pending) {
-      core::Route* route_ptr = &route;
-      const std::uint64_t t = ticket;
-      options_.pool->Submit(
-          [this, route_ptr, t] { planner_.CommitRouteSharded(*route_ptr, t); });
-    }
-    options_.pool->WaitIdle();
-    for (const auto& [route, ticket] : pending) {
-      planner_.NoteShardedCommitted(route, ticket);
-    }
-    planner_.OnShardedFlush();
-    pending.clear();
-  };
+  // members repaired before it; otherwise the member replans serially.
 
   checker_.Clear();
   committed_new_.clear();
@@ -258,17 +227,12 @@ bool LnsRefiner::Iterate(std::vector<LnsCandidate>& live) {
     if (speculative_[j].has_value() && !checker_.Conflicts(*speculative_[j])) {
       const core::Route& route = *speculative_[j];
       ++stats_.speculative_repairs;
-      if (use_sharded_) {
-        pending.emplace_back(route, planner_.BeginShardedCommit(route));
-      } else {
-        CommitOne(route);
-      }
+      planner_.CommitRoute(route);
       checker_.Add(route);
       committed_new_.push_back(route);
       ++stats_.routes_replanned;
       continue;
     }
-    if (use_sharded_) flush_pending();
     const std::optional<core::Route> route =
         planner_.PlanRoute(member.emerge, member.route.origin(),
                            member.route.destination());
@@ -280,7 +244,6 @@ bool LnsRefiner::Iterate(std::vector<LnsCandidate>& live) {
     committed_new_.push_back(*route);
     ++stats_.routes_replanned;
   }
-  if (use_sharded_) flush_pending();
 
   std::int64_t new_cost = 0;
   for (const core::Route& route : committed_new_) {
@@ -303,7 +266,7 @@ bool LnsRefiner::Iterate(std::vector<LnsCandidate>& live) {
   // to prove the audits would catch a planner for which it is not.
   ReleaseAll(committed_new_);
   for (const std::size_t idx : picked_) {
-    CommitOne(live[idx].route);
+    planner_.CommitRoute(live[idx].route);
   }
   if (repair_ok) {
     ++stats_.rejected;

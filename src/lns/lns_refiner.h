@@ -44,16 +44,10 @@ struct LnsOptions {
   std::uint64_t seed = 1;
 
   /// Optional worker pool: with a pool and a speculating planner the
-  /// repair's query phase runs concurrently and, for planners with the
-  /// sharded-commit contract, accepted repairs commit through the
-  /// shard-locked concurrent pipeline (the same flush discipline as
-  /// core::PlanBatch). Null = fully serial iterations.
+  /// repair's query phase runs concurrently; validation and commits stay
+  /// on the calling thread (the same discipline as core::PlanBatch).
+  /// Null = fully serial iterations.
   ThreadPool* pool = nullptr;
-
-  /// Route the repair commits through the sharded hooks when the planner
-  /// supports them (requires `pool`); the accept/reject decision stays on
-  /// the calling thread either way.
-  bool sharded_commit = true;
 
   /// Pin a single selection policy (tests / ablations); nullopt rotates
   /// all three round-robin.
@@ -104,7 +98,7 @@ struct LnsCandidate {
 /// StateFingerprint is bit-identical to the pre-iteration reference.
 ///
 /// The refiner never invents state: every mutation goes through
-/// ReleaseRoute / PlanRoute / CommitRoute(+Sharded), so all planner
+/// ReleaseRoute / PlanRoute / CommitRoute, so all planner
 /// invariants, audits and stats keep working mid-refinement. Iterations
 /// are deterministic given the seed, the planner state and the candidate
 /// list — pool scheduling never affects decisions (the speculative query
@@ -131,10 +125,6 @@ class LnsRefiner {
   void SelectNeighborhood(const std::vector<LnsCandidate>& live,
                           std::vector<std::size_t>& out);
 
-  /// Commits one route through the sharded hooks when enabled (serial
-  /// call-site; the hooks are the uniform path), else CommitRoute.
-  void CommitOne(const core::Route& route);
-
   /// Releases every route of `routes` (reverse order); CARP_CHECKs that
   /// each release succeeds — nothing can have pruned them mid-iteration.
   void ReleaseAll(const std::vector<core::Route>& routes);
@@ -144,7 +134,6 @@ class LnsRefiner {
   Rng rng_;
   LnsStats stats_;
   int policy_cursor_ = 0;
-  bool use_sharded_ = false;
 
   // Scratch, reused across iterations.
   std::vector<std::size_t> picked_;

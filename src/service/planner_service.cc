@@ -18,7 +18,6 @@ PlannerService::PlannerService(core::Planner& planner,
     lns_options.neighborhood = options_.refine_neighborhood;
     lns_options.seed = options_.refine_seed;
     lns_options.pool = &pool_;
-    lns_options.sharded_commit = options_.sharded_commit;
     refiner_ = std::make_unique<lns::LnsRefiner>(planner_, lns_options);
   }
 }
@@ -75,7 +74,6 @@ std::size_t PlannerService::Step(TimeStep now) {
   batch_options.threads = options_.threads;
   batch_options.pool = &pool_;
   batch_options.wave_size = options_.wave_size;
-  batch_options.sharded_commit = options_.sharded_commit;
 
   Stopwatch watch;
   watch.Start();
@@ -89,9 +87,6 @@ std::size_t PlannerService::Step(TimeStep now) {
   metrics_.failed += batch.failed;
   metrics_.speculated += batch.speculated;
   metrics_.invalidated += batch.invalidated;
-  metrics_.shard_commits += batch.shard_commits;
-  metrics_.shard_contentions += batch.shard_contentions;
-  metrics_.shard_retries += batch.shard_retries;
 
   // Every request of the wave shares the wave's wall time as its service
   // latency: a request is served when its wave's commits are flushed, not

@@ -92,10 +92,8 @@ struct ServiceOptions {
   /// (release_time, id) order; kAsGiven keeps that).
   core::BatchOrder order = core::BatchOrder::kAsGiven;
 
-  /// PlanBatch wave chunking (0 = auto) and commit pipeline selection;
-  /// see BatchPlanOptions.
+  /// PlanBatch wave chunking (0 = auto); see BatchPlanOptions.
   int wave_size = 0;
-  bool sharded_commit = true;
 
   /// Retire a route through Planner::ReleaseRoute once the service clock
   /// passes its end time, and prune planner state on a fixed cadence — the
@@ -138,13 +136,9 @@ struct ServiceMetrics {
   /// minus release time.
   std::vector<double> queue_delay_steps;
 
-  /// Speculation + sharded-commit counters summed over all waves (deltas
-  /// reported by PlanBatch).
+  /// Speculation counters summed over all waves (reported by PlanBatch).
   std::int64_t speculated = 0;
   std::int64_t invalidated = 0;
-  std::int64_t shard_commits = 0;
-  std::int64_t shard_contentions = 0;
-  std::int64_t shard_retries = 0;
 
   /// Background-refinement counters (mirrors of lns::LnsStats; only move
   /// when ServiceOptions::refine is on). `refine_cost_improvement` is the
@@ -160,22 +154,17 @@ struct ServiceMetrics {
   double QueueDelayPercentile(double q) const {
     return Percentile(queue_delay_steps, q);
   }
-  double ShardContentionRate() const {
-    return shard_commits == 0 ? 0.0
-                              : static_cast<double>(shard_contentions) /
-                                    static_cast<double>(shard_commits);
-  }
 };
 
-/// Long-lived request-stream front-end over any core::Planner (ISSUE 7's
-/// tentpole service layer; DESIGN.md §2h).
+/// Long-lived request-stream front-end over any core::Planner (DESIGN.md
+/// §2h).
 ///
 /// A service owns a persistent ThreadPool and an admission queue. Each
 /// Step(now) is one service tick: retire routes the clock has passed,
 /// prune on cadence, drain the released requests into a wave, and plan the
 /// wave through core::PlanBatch — which runs the speculative query phase
-/// and, for planners with the shard-footprint contract, the sharded
-/// concurrent commit pipeline on the same pool. Committed routes are
+/// on the service's pool and validates and commits on the service thread.
+/// Committed routes are
 /// archived so a collision oracle can audit the whole history even in the
 /// retiring regime.
 ///

@@ -171,7 +171,6 @@ RunMetrics Simulator::Run(const std::vector<DeliveryTask>& tasks) {
 
       core::BatchPlanOptions batch_options;
       batch_options.threads = options_.threads;
-      batch_options.sharded_commit = options_.sharded_commit;
       planning_watch.Start();
       auto batch = core::PlanBatch(planner_, now, queries, batch_options);
       const std::int64_t lap_ns = planning_watch.Stop();

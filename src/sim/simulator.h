@@ -27,15 +27,9 @@ struct SimulatorOptions {
   /// Worker threads for speculative batched dispatch. With threads > 1 and
   /// a speculation-capable planner, pickup queries that become dispatchable
   /// at the same timestep are planned as one parallel batch
-  /// (core::PlanBatch's validate-and-commit pipeline). threads <= 1 keeps
+  /// (core::PlanBatch's validate-then-commit pipeline). threads <= 1 keeps
   /// the classic serial dispatch loop, bit-for-bit.
   int threads = 1;
-
-  /// With threads > 1 and a planner exposing the shard-footprint contract,
-  /// run batched dispatch through the sharded concurrent-commit pipeline
-  /// (BatchPlanOptions::sharded_commit, DESIGN.md §2h). Results are
-  /// bit-identical either way; this toggle exists for ablations.
-  bool sharded_commit = true;
 
   /// Retire each stage's route through Planner::ReleaseRoute as soon as
   /// the robot finishes executing it, and run Planner::PruneBefore on a

@@ -24,10 +24,10 @@ namespace carp::srp {
 /// records every committed crossing (from, to, t) so planners can reject
 /// the opposite crossing (to, from, t) in O(1). See DESIGN.md, model notes.
 ///
-/// Crossings are *counted*: during a speculative batch two routes that
-/// later conflict may both commit the same crossing, and releasing the
-/// loser must not delete the winner's swap protection, so each key carries
-/// a multiplicity instead of set membership.
+/// Crossings are *counted*, like the segment stores' multisets: a commit
+/// trusts its caller and does not reject a crossing already recorded, and
+/// releasing one copy must not delete another's swap protection, so each
+/// key carries a multiplicity instead of set membership.
 ///
 /// Storage is one flat open-addressing table of (64-bit key, count) slots:
 /// linear probing over a power-of-two capacity, load factor at most 1/2,

@@ -19,12 +19,12 @@ namespace {
 /// Space-time oracle over SRP's segment stores + boundary crossings, for
 /// the A* fallback. Vertex queries are point probes; same-strip moves are
 /// diagonal probes (which detect both vertex and swap conflicts exactly);
-/// cross-strip swaps come from the (shard-partitioned) crossing registry.
+/// cross-strip swaps come from the crossing registry.
 class SegmentOracle final : public core::SpaceTimeOracle {
  public:
   SegmentOracle(const StripGraph& graph,
                 const std::vector<std::unique_ptr<SegmentStore>>& stores,
-                const ShardedCrossings& crossings)
+                const BoundaryCrossings& crossings)
       : graph_(graph), stores_(stores), crossings_(crossings) {}
 
   bool IsFree(GridCoord cell, TimeStep t) const override {
@@ -55,7 +55,7 @@ class SegmentOracle final : public core::SpaceTimeOracle {
  private:
   const StripGraph& graph_;
   const std::vector<std::unique_ptr<SegmentStore>>& stores_;
-  const ShardedCrossings& crossings_;
+  const BoundaryCrossings& crossings_;
 };
 
 std::unique_ptr<SegmentStore> MakeStore(bool use_slope_index,
@@ -81,10 +81,6 @@ SrpPlanner::SrpPlanner(const core::WarehouseMatrix& matrix,
       options_(options),
       fallback_options_(options.fallback),
       graph_(matrix),
-      shard_map_(graph_.strips().size(),
-                 options.commit_shards > 0 ? options.commit_shards : 16),
-      shard_locks_(shard_map_.shard_count()),
-      crossings_(graph_, shard_map_),
       serial_(matrix, graph_.strips().size()) {
   stores_.resize(graph_.strips().size());
   serial_.allow_timing = true;
@@ -114,9 +110,7 @@ void SrpPlanner::Reset() {
     }
   }
   crossings_.Clear();
-  shard_map_.ResetCounts();
-  shard_locks_.ResetStats();
-  sharded_audit_due_ = false;
+  live_segments_ = 0;
   route_log_.clear();
   stats_ = core::PlannerStats{};
   prune_cutoff_ = 0;
@@ -135,14 +129,6 @@ std::size_t SrpPlanner::RetainedBytes() const {
     if (store) bytes += store->RetainedBytes();
   }
   return bytes;
-}
-
-std::size_t SrpPlanner::SegmentCount() const {
-  std::size_t n = 0;
-  for (const auto& store : stores_) {
-    if (store) n += store->size();
-  }
-  return n;
 }
 
 SrpTimeBreakdown SrpPlanner::time_breakdown() const {
@@ -584,8 +570,7 @@ void SrpPlanner::CommitPath(const SrpPath& path) {
     for (const geometry::Segment& seg : leg.segments) {
       store->Insert(seg);
     }
-    shard_map_.AddSegments(shard_map_.ShardOf(leg.strip),
-                           static_cast<std::int64_t>(leg.segments.size()));
+    live_segments_ += static_cast<std::int64_t>(leg.segments.size());
     if (i + 1 < path.legs.size()) {
       const StripLeg& next = path.legs[i + 1];
       const GridCoord from =
@@ -605,10 +590,8 @@ void SrpPlanner::ReleasePath(const SrpPath& path) {
     CARP_CHECK(store != nullptr) << "releasing from a rack strip";
     for (const geometry::Segment& seg : leg.segments) {
       // Already-pruned segments are gone; Remove returning false is fine
-      // (and keeps the shard accounting honest).
-      if (store->Remove(seg)) {
-        shard_map_.AddSegments(shard_map_.ShardOf(leg.strip), -1);
-      }
+      // (and keeps the live-segment count honest).
+      if (store->Remove(seg)) --live_segments_;
     }
     if (i + 1 < path.legs.size()) {
       const StripLeg& next = path.legs[i + 1];
@@ -636,9 +619,7 @@ std::size_t SrpPlanner::PruneBefore(TimeStep t) {
   ScopedStatsSink sink(stats_);  // counts the line buckets pruning erases
   for (std::size_t s = 0; s < stores_.size(); ++s) {
     if (!stores_[s]) continue;
-    const std::size_t pruned = stores_[s]->PruneBefore(t);
-    shard_map_.AddSegments(shard_map_.ShardOf(static_cast<StripId>(s)),
-                           -static_cast<std::int64_t>(pruned));
+    live_segments_ -= static_cast<std::int64_t>(stores_[s]->PruneBefore(t));
   }
   crossings_.PruneBefore(t);
   prune_cutoff_ = std::max(prune_cutoff_, t);
@@ -662,17 +643,18 @@ std::string SrpPlanner::CheckInvariants() const {
   if (std::string err = crossings_.CheckInvariants(); !err.empty()) {
     return "SrpPlanner: " + err;
   }
-  // Shard-accounting audit (ISSUE 7): every live segment accounted to
-  // exactly its strip's owning shard, shard counters summing to the
-  // stores' total (subsumes the old flat live-segment cross-check).
+  // The live-segment counter (SegmentCount, the peak gauge) against the
+  // stores it summarises.
   {
-    std::vector<std::size_t> per_strip_live(stores_.size(), 0);
-    for (std::size_t s = 0; s < stores_.size(); ++s) {
-      if (stores_[s]) per_strip_live[s] = stores_[s]->size();
+    std::int64_t stored = 0;
+    for (const auto& store : stores_) {
+      if (store) stored += static_cast<std::int64_t>(store->size());
     }
-    if (std::string err = shard_map_.CheckInvariants(per_strip_live);
-        !err.empty()) {
-      return "SrpPlanner: " + err;
+    if (stored != live_segments_) {
+      std::ostringstream out;
+      out << "SrpPlanner: live-segment counter is " << live_segments_
+          << " but the stores hold " << stored;
+      return out.str();
     }
   }
 
@@ -784,59 +766,9 @@ std::uint64_t SrpPlanner::StateFingerprint() const {
     digest += Mix64(strip_digest ^ Mix64(static_cast<std::uint64_t>(s) + 1));
   }
   digest += crossings_.ContentHash();
-  for (std::size_t k = 0; k < shard_map_.shard_count(); ++k) {
-    digest += Mix64(
-        static_cast<std::uint64_t>(shard_map_.ShardSegments(
-            static_cast<std::uint32_t>(k))) ^
-        Mix64(static_cast<std::uint64_t>(k) + 0x517cc1b727220a95ULL));
-  }
+  digest += Mix64(static_cast<std::uint64_t>(live_segments_) ^
+                  0x517cc1b727220a95ULL);
   return digest;
-}
-
-void SrpPlanner::FootprintOfPath(const SrpPath& path,
-                                 std::vector<std::uint32_t>& out) const {
-  out.clear();
-  out.reserve(path.legs.size());
-  for (const StripLeg& leg : path.legs) {
-    out.push_back(shard_map_.ShardOf(leg.strip));
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-}
-
-void SrpPlanner::ComputeShardFootprint(const core::Route& route,
-                                       std::vector<std::uint32_t>& out) const {
-  FootprintOfPath(PathFromRoute(graph_, route), out);
-}
-
-void SrpPlanner::CommitRouteSharded(const core::Route& route,
-                                    std::uint64_t /*ticket*/) {
-  // Same canonical decomposition as every serial commit — the footprint
-  // derived from it covers every store and crossing registry CommitPath
-  // touches, and multiset insertion commutes, so concurrent commits under
-  // disjoint footprints produce the same state as any serial order.
-  const SrpPath path = PathFromRoute(graph_, route);
-  std::vector<std::uint32_t> footprint;
-  FootprintOfPath(path, footprint);
-  ShardLockSet::CommitGuard guard(shard_locks_, footprint);
-  CommitPath(path);
-}
-
-void SrpPlanner::NoteShardedCommitted(const core::Route& route,
-                                      std::uint64_t /*ticket*/) {
-  route_log_.push_back(route);
-  // Defer the replay audit: during a wave's flush the stores already hold
-  // every committed route while the log catches up entry by entry, so an
-  // inline CheckInvariants would report a false mismatch.
-  if (lifecycle_audit_.Tick()) sharded_audit_due_ = true;
-}
-
-void SrpPlanner::OnShardedFlush() {
-  SamplePeakSegments();
-  if (!sharded_audit_due_) return;
-  sharded_audit_due_ = false;
-  const std::string err = CheckInvariants();
-  CARP_CHECK(err.empty()) << err;
 }
 
 std::optional<core::Route> SrpPlanner::FallbackPlan(

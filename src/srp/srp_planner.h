@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/audit.h"
-#include "common/sharded_lock.h"
 #include "common/timer.h"
 #include "common/types.h"
 #include "core/bucket_queue.h"
@@ -21,7 +20,6 @@
 #include "srp/intra_strip_planner.h"
 #include "srp/route_conversion.h"
 #include "srp/segment_store.h"
-#include "srp/shard_map.h"
 #include "srp/strip_graph.h"
 
 namespace carp::srp {
@@ -88,14 +86,6 @@ struct SrpPlannerOptions {
   /// micro_planners bench for the ablation).
   bool use_static_first = false;
 
-  /// Ownership shards of the concurrent commit path (DESIGN.md §2h).
-  /// Strips are assigned to shards round-robin; a route's commit locks
-  /// exactly the shards its strips map to, so commits with disjoint
-  /// footprints run in parallel. 0 = auto (16 — enough that footprints of
-  /// a few-strip route rarely collide, few enough that the lock sweep
-  /// stays cheap). 1 degrades to a single coarse commit lock.
-  std::size_t commit_shards = 0;
-
   /// Record the Fig. 22a inter/intra/conversion wall-clock breakdown.
   /// Off by default: the per-probe stopwatch reads would tax the planning
   /// path they are meant to measure. Only the serial PlanRoute path is
@@ -149,40 +139,13 @@ class SrpPlanner final : public core::Planner {
   bool ReleaseRoute(const core::Route& route) override;
   std::size_t PruneBefore(TimeStep t) override;
 
-  /// Segment stores and boundary crossings are multisets, and every commit
-  /// goes through the canonical PathFromRoute decomposition, so a release
-  /// removes exactly the released route's contribution — even while a
-  /// conflicting speculative sibling is committed (PlanBatch's optimistic
-  /// commit-then-validate path).
-  bool SupportsExactRelease() const override { return true; }
-
-  /// Sharded concurrent commit (DESIGN.md §2h): footprints come from the
-  /// same canonical PathFromRoute decomposition every commit and release
-  /// uses, so the shards a commit locks are exactly the shards it mutates
-  /// (segments of each leg's strip, plus crossings owned by the departing
-  /// leg's strip — always in the footprint).
-  bool SupportsShardedCommit() const override { return true; }
-  std::size_t CommitShardCount() const override {
-    return shard_map_.shard_count();
-  }
-  void ComputeShardFootprint(const core::Route& route,
-                             std::vector<std::uint32_t>& out) const override;
-  void CommitRouteSharded(const core::Route& route,
-                          std::uint64_t ticket) override;
-  void NoteShardedCommitted(const core::Route& route,
-                            std::uint64_t ticket) override;
-  void OnShardedFlush() override;
-
-  const ShardMap& shard_map() const { return shard_map_; }
-  const ShardLockSet& shard_locks() const { return shard_locks_; }
-
   /// Order-independent digest of the *derived* collision state: every live
-  /// segment of every strip store, the boundary-crossing registries
-  /// (multiplicities included), and the per-shard live-segment ledger —
-  /// plus the base route-log multiset. This is the rollback bit-identity
-  /// gate of the LNS refiner: a failed repair that loses or leaks one
-  /// segment, crossing, or ledger count changes the digest even when the
-  /// route log looks intact.
+  /// segment of every strip store, the boundary-crossing registry
+  /// (multiplicities included), and the live-segment counter — plus the
+  /// base route-log multiset. This is the rollback bit-identity gate of
+  /// the LNS refiner: a failed repair that loses or leaks one segment,
+  /// crossing, or counted segment changes the digest even when the route
+  /// log looks intact.
   std::uint64_t StateFingerprint() const override;
 
   void AbsorbQueryContext(core::Planner::QueryContext& context) override;
@@ -205,25 +168,17 @@ class SrpPlanner final : public core::Planner {
     return fallback_options_.horizon;
   }
 
-  /// Total stored segments across strips.
-  std::size_t SegmentCount() const;
+  /// Total stored segments across strips: the live-segment counter the
+  /// commit, release and prune paths keep, O(1). CheckInvariants
+  /// cross-checks it against the stores.
+  std::size_t SegmentCount() const {
+    return static_cast<std::size_t>(live_segments_);
+  }
 
   /// Largest SegmentCount() observed across the planner's lifetime —
   /// sampled incrementally at every commit, so end-of-day reports can show
   /// the day's working-set peak even after all routes were released.
   std::size_t peak_segment_count() const { return peak_segments_; }
-
-  /// The planner's own counters plus an overlay of the shard locks' live
-  /// counters; O(1). The stores count into the stats of the call using
-  /// them (ScopedStatsSink), so nothing aggregates on read.
-  const core::PlannerStats& stats() const override {
-    stats_view_ = stats_;
-    const ShardLockSet::Stats sl = shard_locks_.stats();
-    stats_view_.shard_commits = sl.commits;
-    stats_view_.shard_lock_contentions = sl.contentions;
-    stats_view_.shard_commit_retries = sl.retries;
-    return stats_view_;
-  }
 
   SrpTimeBreakdown time_breakdown() const;
 
@@ -232,7 +187,8 @@ class SrpPlanner final : public core::Planner {
   /// PruneBefore already dropped (tracked cutoff), and demands the result
   /// reproduces the segment stores and the crossing registry exactly —
   /// stores ⇄ route log ⇄ BoundaryCrossings, multiplicities included.
-  /// Also runs every store's structural audit. Empty string = pass.
+  /// Also runs every store's structural audit and checks the live-segment
+  /// counter against the stores' sizes. Empty string = pass.
   /// O(committed route length), so production call sites sample it.
   std::string CheckInvariants() const;
 
@@ -427,24 +383,13 @@ class SrpPlanner final : public core::Planner {
   // Inserts a path's segments and boundary crossings into the stores.
   // Callers must pass the *canonical* decomposition (PathFromRoute of the
   // committed route), so ReleasePath can later remove exactly what was
-  // inserted. Thread-safe iff the caller holds the commit locks of the
-  // path's shard footprint (CommitRouteSharded does); the serial paths
-  // call it lock-free.
+  // inserted.
   void CommitPath(const SrpPath& path);
 
-  // Sorted-unique shard ids of the path's strips — the footprint
-  // CommitGuard expects, covering every store and crossing registry
-  // CommitPath(path) would touch.
-  void FootprintOfPath(const SrpPath& path,
-                       std::vector<std::uint32_t>& out) const;
-
-  // Folds the current live-segment total into peak_segments_. Only called
-  // at serial points (serial commits, OnShardedFlush): mid-wave totals are
-  // scheduling-dependent, and the peak is meant to be a deterministic
-  // end-of-wave gauge.
+  // Folds the current live-segment total into peak_segments_ (after every
+  // commit).
   void SamplePeakSegments() {
-    peak_segments_ = std::max(
-        peak_segments_, static_cast<std::size_t>(shard_map_.TotalSegments()));
+    peak_segments_ = std::max(peak_segments_, SegmentCount());
   }
 
   // Exact inverse of CommitPath: removes the path's segments and boundary
@@ -466,27 +411,14 @@ class SrpPlanner final : public core::Planner {
                                                   // horizon resolved
   StripGraph graph_;
 
-  // Ownership partition + per-shard commit locks (DESIGN.md §2h). Declared
-  // before the stores/crossings they govern: ShardedCrossings holds
-  // references to graph_ and shard_map_.
-  ShardMap shard_map_;
-  ShardLockSet shard_locks_;
-
   std::vector<std::unique_ptr<SegmentStore>> stores_;  // null for rack strips
-  ShardedCrossings crossings_;
+  BoundaryCrossings crossings_;
 
-  mutable core::PlannerStats stats_view_;
-
-  // Lifetime peak of the live-segment total (peak_segment_count()); the
-  // total itself lives in shard_map_'s per-shard counters, cross-checked
-  // against the stores in CheckInvariants.
+  // Live segments across all stores, kept by CommitPath, ReleasePath and
+  // PruneBefore and cross-checked against the stores in CheckInvariants;
+  // and its lifetime peak (peak_segment_count()).
+  std::int64_t live_segments_ = 0;
   std::size_t peak_segments_ = 0;
-
-  // A lifecycle audit came due during a concurrent commit wave; run it at
-  // the next OnShardedFlush, when the stores and the route log agree
-  // again (mid-wave the stores are ahead of the log, so the replay audit
-  // would report a false mismatch).
-  bool sharded_audit_due_ = false;
 
   // Serial-path search workspace (PlanRoute).
   Search serial_;

@@ -1,6 +1,7 @@
 // Tests of the speculative parallel PlanBatch pipeline: determinism across
-// thread counts, equality with the serial prioritized loop, and
-// collision-freedom under contention (ISSUE: validate-and-commit).
+// thread counts, equality with the serial prioritized loop, collision-
+// freedom under contention, and validate-then-commit (a speculative route
+// that loses validation is never committed).
 
 #include <gtest/gtest.h>
 
@@ -108,6 +109,11 @@ TEST(ParallelBatchTest, ContendedBatchInvalidatesAndStaysCollisionFree) {
   EXPECT_GT(result.invalidated, 0);
   EXPECT_GT(planner.stats().SpeculationConflictRate(), 0.0);
   EXPECT_EQ(planner.stats().speculative_invalidated, result.invalidated);
+  // Validation runs before the commit, so no loser ever needs retiring,
+  // and the stores hold exactly the accepted routes.
+  EXPECT_EQ(planner.stats().routes_released, 0);
+  EXPECT_EQ(static_cast<std::int64_t>(routes.size()), result.planned);
+  EXPECT_EQ(planner.CheckInvariants(), "");
 }
 
 TEST(ParallelBatchTest, ParallelResultIndependentOfThreadCount) {

@@ -90,9 +90,9 @@ INSTANTIATE_TEST_SUITE_P(AllPlanners, LongrunLifecycleTest,
                          ::testing::Values("SAP", "RP", "TWP", "ACP", "SRP",
                                            "SRP-indexed"));
 
-// Retirement composed with speculative batched dispatch: losers of the
-// optimistic commit-then-validate pass release through the same path the
-// retirement uses, and the day must still validate.
+// Retirement composed with speculative batched dispatch: the routes the
+// validate-then-commit pass accepts retire through the same path as
+// serially planned ones, and the day must still validate.
 TEST(LongrunLifecycleBatchedTest, RetirementWithSpeculativeDispatch) {
   const TimeStep day_length = 400;
   layout::Warehouse warehouse =

@@ -159,7 +159,6 @@ TEST(LnsRefinerTest, PooledSpeculativeShardedPathKeepsInvariants) {
   options.neighborhood = 6;
   options.seed = 17;
   options.pool = &pool;
-  options.sharded_commit = true;
   LnsRefiner refiner(planner, options);
 
   for (int i = 0; i < 60; ++i) {
@@ -191,7 +190,6 @@ class BlockedCorridorPlanner final : public core::Planner {
   bool ReleaseRoute(const core::Route& route) override {
     return inner_.ReleaseRoute(route);
   }
-  bool SupportsExactRelease() const override { return true; }
   std::uint64_t StateFingerprint() const override {
     return inner_.StateFingerprint();
   }

@@ -1,6 +1,6 @@
 // Request-stream service front-end: admission ordering, wave formation,
-// retire/prune lifecycle, drain semantics, and determinism of the sharded
-// pipeline across thread counts (ISSUE 7 tentpole; DESIGN.md §2h).
+// retire/prune lifecycle, drain semantics, and determinism of the
+// speculative batch pipeline across thread counts.
 
 #include "service/planner_service.h"
 
@@ -139,6 +139,10 @@ TEST(PlannerServiceTest, RetiringServiceReleasesStateButKeepsArchive) {
   EXPECT_TRUE(core::ValidateRoutes(svc.archive()));
 }
 
+// The two tests below keep the names they had when the service also offered
+// a strip-sharded commit path; the service now has one speculative
+// validate-then-commit path, and they check that it commits exactly the
+// serial service's archive.
 TEST(PlannerServiceTest, ShardedServiceIsDeterministicAcrossThreadCounts) {
   const auto requests = MakeRequests(Tiny(), 36, /*spread=*/24, /*seed=*/23);
 
@@ -147,20 +151,20 @@ TEST(PlannerServiceTest, ShardedServiceIsDeterministicAcrossThreadCounts) {
     srp::SrpPlanner planner(Tiny().matrix);
     ServiceOptions options;
     options.threads = threads;
-    options.sharded_commit = true;
     PlannerService svc(planner, options);
     for (const auto& r : requests) svc.Submit(r);
     svc.RunUntilDrained();
 
     ASSERT_TRUE(core::ValidateRoutes(svc.archive())) << "threads=" << threads;
+    EXPECT_EQ(svc.metrics().planned + svc.metrics().failed, 36)
+        << "threads=" << threads;
     if (threads == 1) {
       reference = svc.archive();
     } else {
       EXPECT_EQ(svc.archive(), reference) << "threads=" << threads;
       // Dense releases form multi-request waves, so the parallel service
-      // actually exercised speculation and the sharded commit path.
+      // actually exercised speculation.
       EXPECT_GT(svc.metrics().speculated, 0) << "threads=" << threads;
-      EXPECT_GT(svc.metrics().shard_commits, 0) << "threads=" << threads;
     }
   }
 }
@@ -168,25 +172,25 @@ TEST(PlannerServiceTest, ShardedServiceIsDeterministicAcrossThreadCounts) {
 TEST(PlannerServiceTest, ShardedAndSpeculativePipelinesAgreeOnGridBaseline) {
   const auto requests = MakeRequests(Tiny(), 24, /*spread=*/16, /*seed=*/5);
 
-  std::vector<core::Route> spec_archive;
-  for (const bool sharded : {false, true}) {
+  std::vector<core::Route> serial_archive;
+  for (int threads : {1, 4}) {
     auto planner = baselines::MakePlanner("SAP", Tiny().matrix);
     ServiceOptions options;
-    options.threads = 4;
-    options.sharded_commit = sharded;
+    options.threads = threads;
     PlannerService svc(*planner, options);
     for (const auto& r : requests) svc.Submit(r);
     svc.RunUntilDrained();
 
-    ASSERT_TRUE(core::ValidateRoutes(svc.archive()));
-    EXPECT_EQ(svc.metrics().planned + svc.metrics().failed, 24);
-    if (!sharded) {
-      spec_archive = svc.archive();
+    ASSERT_TRUE(core::ValidateRoutes(svc.archive())) << "threads=" << threads;
+    EXPECT_EQ(svc.metrics().planned + svc.metrics().failed, 24)
+        << "threads=" << threads;
+    if (threads == 1) {
+      serial_archive = svc.archive();
     } else {
-      // Sharded commit only changes who executes the mutation, never the
-      // accept/reject decisions: archives must match byte for byte.
-      EXPECT_EQ(svc.archive(), spec_archive);
-      EXPECT_GT(svc.metrics().shard_commits, 0);
+      // SAP speculates with its exact serial search, so the parallel
+      // service must match the serial archive byte for byte.
+      EXPECT_EQ(svc.archive(), serial_archive);
+      EXPECT_GT(svc.metrics().speculated, 0);
     }
   }
 }

@@ -108,13 +108,12 @@ TEST(ServiceRefineTest, RefineOffMatchesRefineNeverAccepted) {
 }
 
 TEST(ServiceRefineTest, ShardedRecommitUnderThreadsStaysCoherent) {
-  // The sharded-commit path guards the refiner's recommits (the TSan job
-  // runs this test): pooled speculative repairs + sharded flushes must
-  // leave the planner's invariants intact after a drained run.
+  // Pooled speculative repairs with recommits on the service thread (the
+  // TSan job runs this test) must leave the planner's invariants intact
+  // after a drained run.
   srp::SrpPlanner planner(Tiny().matrix);
   ServiceOptions options;
   options.threads = 3;
-  options.sharded_commit = true;
   options.refine = true;
   options.refine_neighborhood = 5;
   options.refine_iterations_per_tick = 3;

@@ -1,15 +1,13 @@
 // Counter golden test: SRP and SRP-indexed, built with their defaults, run
 // one seeded small W-1 day through every path that feeds stats() — serial
-// PlanRoute, PlanBatch with three workers and sharded commit, ReleaseRoute
+// PlanRoute, PlanBatch with three workers, ReleaseRoute
 // and PruneBefore, serial PlanRoute again on the pruned state, and a final
 // release of every route — and every counter stats() reports must equal
 // the constants recorded below.
 //
 // The constants pin where the counters are accumulated, not only what the
 // planner answers: a store probe that goes uncounted (or is counted twice)
-// on any path changes them even when the routes stay the same. The shard
-// locks' contention and retry counts depend on thread scheduling, so only
-// their bound against the commit count is checked.
+// on any path changes them even when the routes stay the same.
 
 #include <array>
 #include <cstdint>
@@ -48,7 +46,6 @@ struct Golden {
   std::int64_t blocks_scanned;
   std::int64_t blocks_skipped;
   std::int64_t candidates_pruned_by_summary;
-  std::int64_t shard_commits;
   std::int64_t buckets_erased;
 };
 
@@ -69,7 +66,6 @@ void PrintCounters(const PlannerStats& s) {
             << " scanned=" << s.blocks_scanned
             << " skipped=" << s.blocks_skipped
             << " summary_pruned=" << s.candidates_pruned_by_summary
-            << " shard_commits=" << s.shard_commits
             << " buckets_erased=" << s.buckets_erased << "\n";
 }
 
@@ -97,11 +93,10 @@ TEST_P(PlannerStatsGoldenTest, CountersMatchRecordedDay) {
     planner->PlanRoute(q.emergence, q.origin, q.destination);
   }
 
-  // PlanBatch over 10-step windows up to 200: three workers, sharded
-  // commit, each window planned at its last query's emergence.
+  // PlanBatch over 10-step windows up to 200: three workers, each window
+  // planned at its last query's emergence.
   core::BatchPlanOptions batch;
   batch.threads = 3;
-  batch.sharded_commit = true;
   while (next < queries.size() && queries[next].emergence < 200) {
     const TimeStep window_end = (queries[next].emergence / 10 + 1) * 10;
     std::vector<core::BatchQuery> wave;
@@ -156,8 +151,6 @@ TEST_P(PlannerStatsGoldenTest, CountersMatchRecordedDay) {
   EXPECT_EQ(s.blocks_skipped, golden.blocks_skipped);
   EXPECT_EQ(s.candidates_pruned_by_summary,
             golden.candidates_pruned_by_summary);
-  EXPECT_EQ(s.shard_commits, golden.shard_commits);
-  EXPECT_LE(s.shard_lock_contentions, s.shard_commits);
   EXPECT_EQ(s.buckets_erased, golden.buckets_erased);
   // Counters no SRP path feeds.
   EXPECT_EQ(s.replans, 0);
@@ -165,6 +158,9 @@ TEST_P(PlannerStatsGoldenTest, CountersMatchRecordedDay) {
   EXPECT_EQ(s.static_path_hits, 0);
   EXPECT_EQ(s.kernel_lanes_processed, 0);
   EXPECT_EQ(s.kernel_lanes_survived, 0);
+  EXPECT_EQ(s.shard_commits + s.shard_lock_contentions +
+                s.shard_commit_retries,
+            0);
   EXPECT_EQ(s.collision_kernel, core::CollisionKernel::kScalar);
   EXPECT_EQ(s.heuristic_hits + s.heuristic_misses + s.heuristic_evictions +
                 s.heuristic_rebuilds + s.heuristic_prefetch_late,
@@ -184,9 +180,9 @@ INSTANTIATE_TEST_SUITE_P(
     // (StripExits), which issues fewer probes for the same routes.
     ::testing::Values(
         Golden{"SRP", 364, 0, 9, 24, {9, 0, 0, 0}, 2173, 95, 4, 337, 23,
-               51470, 42888, 20176, 934687, 91, 0},
+               51470, 42888, 20176, 934687, 0},
         Golden{"SRP-indexed", 364, 0, 9, 24, {9, 0, 0, 0}, 2173, 95, 4, 337,
-               23, 57142, 76612, 5495, 81778, 91, 3376}),
+               23, 57142, 76612, 5495, 81778, 3376}),
     [](const ::testing::TestParamInfo<Golden>& info) {
       std::string name = info.param.tag;
       for (char& c : name) {

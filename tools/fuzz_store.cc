@@ -69,28 +69,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(seeds),
               static_cast<long long>(store_result.ops_executed));
 
-  // ---- Stage 1b: shard-accounting fuzz (DESIGN.md §2h). Same seed range;
-  // audits the ShardMap ledger against the per-strip stores after every op.
-  carp::check::ShardFuzzOptions shard_opt;
-  shard_opt.seed = static_cast<std::uint64_t>(first_seed);
-  shard_opt.num_seeds = static_cast<int>(seeds);
-  shard_opt.ops_per_seed = static_cast<int>(ops);
-  const auto shard_result =
-      carp::check::FuzzShardAccounting(shard_opt,
-                                       /*inject_cross_shard_leak=*/false);
-  if (!shard_result.ok) {
-    std::fprintf(stderr, "FAIL: %s\n", shard_result.error.c_str());
-    std::fprintf(stderr,
-                 "replay: fuzz_store --seed=%llu --seeds=1 --ops=%lld\n",
-                 static_cast<unsigned long long>(shard_result.failing_seed),
-                 static_cast<long long>(ops));
-    return 1;
-  }
-  std::printf("shard accounting fuzz: %lld seeds, %lld ops, ledger clean\n",
-              static_cast<long long>(seeds),
-              static_cast<long long>(shard_result.ops_executed));
-
-  // ---- Stage 1c: lifecycle-rollback fuzz (DESIGN.md §2i). Interleaves
+  // ---- Stage 1b: lifecycle-rollback fuzz (DESIGN.md §2i). Interleaves
   // release / replan / rollback at store granularity; a rolled-back repair
   // must leave every store bit-identical to the reference.
   carp::check::LifecycleFuzzOptions lifecycle_opt;
