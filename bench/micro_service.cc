@@ -4,14 +4,19 @@
 // A day-shaped stream of rack-access -> picker requests (double-surge
 // arrival profile) is admitted to a PlannerService and drained wave by
 // wave, with route retirement and cadence pruning on. Every backend runs
-// two variants — serial (threads=1) and speculative (threads=4) — and the
+// three variants — serial (threads=1), default (threads=4 with the auto
+// wave size: no wave of this stream fills the 16-query auto wave, so every
+// wave plans serially on the service thread) and spec (threads=4 with
+// wave_size=2: every wave of two or more requests speculates) — and the
 // run reports wall-clock, per-request latency percentiles, queue delay,
 // speculation counters, collision-freedom over the *entire archived
-// history*, and whether the speculative variant committed exactly the
+// history*, and whether each parallel variant committed exactly the
 // serial variant's routes.
 //
 // Equivalence gating (--strict exits nonzero; wired into CI bench-smoke):
 //   - every variant's full archive must validate collision-free;
+//   - the spec variant must have speculated at least one route, so the
+//     serial-equality check below tests the speculative pipeline;
 //   - serial-equivalence is enforced where the speculative query phase is
 //     exact (SAP, SRP). RP/TWP/ACP's query phase is a documented
 //     conservative stand-in for their serial shortcutting (no joint
@@ -80,12 +85,14 @@ std::vector<service::PlanRequest> MakeRequests(const layout::Warehouse& w,
 struct Variant {
   std::string name;
   int threads;
+  int wave_size;  // 0 = auto
 };
 
 struct Row {
   std::string algorithm;
   std::string variant;
   int threads = 0;
+  int wave_size = 0;
   double seconds = 0;
   std::int64_t waves = 0;
   std::int64_t planned = 0;
@@ -122,6 +129,7 @@ Row RunOne(const layout::Warehouse& warehouse, const std::string& algorithm,
 
   service::ServiceOptions options;
   options.threads = variant.threads;
+  options.wave_size = variant.wave_size;
   options.retire_routes = true;
   options.prune_every = 512;
   options.prune_slack = 64;
@@ -139,6 +147,7 @@ Row RunOne(const layout::Warehouse& warehouse, const std::string& algorithm,
   row.algorithm = algorithm;
   row.variant = variant.name;
   row.threads = variant.threads;
+  row.wave_size = variant.wave_size;
   row.seconds = watch.elapsed_seconds();
   row.waves = m.waves;
   row.planned = m.planned;
@@ -165,8 +174,8 @@ Row RunOne(const layout::Warehouse& warehouse, const std::string& algorithm,
 int main(int argc, char** argv) {
   using namespace carp;
 
-  // Dense by default (several releases per timestep at the surges) so the
-  // waves are big enough to engage the speculative pipeline.
+  // Dense by default: several releases per timestep at the surges, so most
+  // waves hold two or more requests and the spec variant speculates.
   std::size_t request_count = 240;
   TimeStep day_length = 64;
   int threads = 4;
@@ -204,8 +213,9 @@ int main(int argc, char** argv) {
       MakeRequests(warehouse, request_count, day_length, /*seed=*/2023);
 
   const std::vector<Variant> variants = {
-      {"serial", 1},
-      {"spec", threads},
+      {"serial", 1, 0},
+      {"default", threads, 0},
+      {"spec", threads, 2},
   };
 
   std::cout << "=== request-stream service front-end (W-1) ===\n"
@@ -214,7 +224,8 @@ int main(int argc, char** argv) {
             << "hardware concurrency: " << ThreadPool::DefaultThreadCount()
             << "\n\n";
 
-  TableWriter table({"algorithm", "variant", "threads", "seconds", "waves",
+  TableWriter table({"algorithm", "variant", "threads", "wave", "seconds",
+                     "waves",
                      "planned", "failed", "lat-p50(ms)", "lat-p99(ms)",
                      "qdelay-p99", "retired", "conflict-rate",
                      "collision-free", "serial-equal"});
@@ -232,14 +243,17 @@ int main(int argc, char** argv) {
     for (std::size_t v = 0; v < algo_rows.size(); ++v) {
       Row& row = algo_rows[v];
       const bool gate_serial = ExactSpeculation(algorithm);
+      const bool must_speculate = row.threads > 1 && row.wave_size > 0;
       all_ok = all_ok && row.collision_free &&
-               (!gate_serial || row.serial_equivalent);
+               (!gate_serial || row.serial_equivalent) &&
+               (!must_speculate || row.speculated > 0);
       const double conflict_rate =
           row.speculated == 0 ? 0.0
                               : static_cast<double>(row.invalidated) /
                                     static_cast<double>(row.speculated);
       table.AddRow(
           {row.algorithm, row.variant, std::to_string(row.threads),
+           row.wave_size == 0 ? "auto" : std::to_string(row.wave_size),
            FormatDouble(row.seconds, 3), std::to_string(row.waves),
            std::to_string(row.planned), std::to_string(row.failed),
            FormatDouble(row.latency_p50, 3), FormatDouble(row.latency_p99, 3),
@@ -262,6 +276,7 @@ int main(int argc, char** argv) {
     const Row& r = rows[i];
     out << "    {\"algorithm\": \"" << r.algorithm << "\", \"variant\": \""
         << r.variant << "\", \"threads\": " << r.threads
+        << ", \"wave_size\": " << r.wave_size
         << ", \"seconds\": " << r.seconds << ", \"waves\": " << r.waves
         << ", \"planned\": " << r.planned << ", \"failed\": " << r.failed
         << ", \"latency_ms_p50\": " << r.latency_p50
@@ -281,8 +296,9 @@ int main(int argc, char** argv) {
   std::cout << "\nwrote " << out_path << "\n";
 
   if (strict && !all_ok) {
-    std::cerr << "\nSTRICT FAILURE: a variant missed a conflict, or an "
-                 "exact-speculation backend diverged from serial\n";
+    std::cerr << "\nSTRICT FAILURE: a variant missed a conflict, the spec "
+                 "variant speculated no route, or an exact-speculation "
+                 "backend diverged from serial\n";
     return 1;
   }
   return 0;

@@ -9,13 +9,7 @@ namespace {
 thread_local int t_worker_index = -1;
 }  // namespace
 
-ThreadPool::ThreadPool(int threads) {
-  const int n = std::max(1, threads);
-  workers_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
-  }
-}
+ThreadPool::ThreadPool(int threads) : size_(std::max(1, threads)) {}
 
 ThreadPool::~ThreadPool() {
   {
@@ -29,6 +23,13 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::Submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    if (workers_.empty()) {
+      // The new workers block on mutex_ until this Submit releases it.
+      workers_.reserve(static_cast<std::size_t>(size_));
+      for (int i = 0; i < size_; ++i) {
+        workers_.emplace_back([this, i] { WorkerLoop(i); });
+      }
+    }
     queue_.push_back(std::move(task));
     ++in_flight_;
   }

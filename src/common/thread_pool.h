@@ -20,21 +20,25 @@ namespace carp {
 /// Each worker carries a stable index in [0, size()), exposed to running
 /// tasks via CurrentWorkerIndex(); batch planning uses it to give every
 /// worker its own planner scratch state without locking.
+///
+/// Workers start on the first Submit, so a pool that never receives a task
+/// (a service whose waves all plan on the calling thread) spawns no thread.
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (clamped to >= 1).
+  /// A pool of `threads` workers (clamped to >= 1), started on first use.
   explicit ThreadPool(int threads);
 
-  /// Drains outstanding tasks, then joins all workers.
+  /// Drains outstanding tasks, then joins all started workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int size() const { return static_cast<int>(workers_.size()); }
+  int size() const { return size_; }
 
-  /// Enqueues a task. Tasks must not throw; an escaping exception
-  /// terminates the process (workers run under noexcept semantics).
+  /// Enqueues a task, starting the workers if none runs yet. Tasks must not
+  /// throw; an escaping exception terminates the process (workers run under
+  /// noexcept semantics).
   void Submit(std::function<void()> task);
 
   /// Blocks until every task submitted so far has finished executing.
@@ -60,7 +64,8 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   std::int64_t in_flight_ = 0;  // queued + currently executing
   bool stopping_ = false;
-  std::vector<std::thread> workers_;
+  const int size_;
+  std::vector<std::thread> workers_;  // empty until the first Submit
 };
 
 }  // namespace carp

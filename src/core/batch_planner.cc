@@ -155,9 +155,17 @@ BatchResult PlanBatch(Planner& planner, TimeStep t,
                       const BatchPlanOptions& options) {
   const std::vector<std::size_t> indices =
       PriorityOrder(queries, options.order);
-  const bool parallel = options.threads > 1 &&
-                        planner.SupportsSpeculation() && queries.size() > 1;
-  if (!parallel) {
+  const int workers =
+      options.pool != nullptr ? options.pool->size() : options.threads;
+  const std::size_t wave_size =
+      options.wave_size > 0
+          ? static_cast<std::size_t>(options.wave_size)
+          : std::max<std::size_t>(16, 4 * static_cast<std::size_t>(workers));
+  // A speculative round only pays from one full wave up: below it the pool
+  // hand-off and the per-worker QueryContexts cost more than the overlap
+  // saves, so a smaller batch plans on the calling thread.
+  if (options.threads <= 1 || !planner.SupportsSpeculation() ||
+      queries.size() < wave_size) {
     return PlanBatchSerial(planner, t, queries, indices);
   }
   ThreadPool* pool = options.pool;
@@ -166,11 +174,6 @@ BatchResult PlanBatch(Planner& planner, TimeStep t,
     transient.emplace(options.threads);
     pool = &*transient;
   }
-  const std::size_t wave_size =
-      options.wave_size > 0
-          ? static_cast<std::size_t>(options.wave_size)
-          : std::max<std::size_t>(
-                16, 4 * static_cast<std::size_t>(pool->size()));
   return PlanBatchSpeculative(planner, t, queries, indices, *pool, wave_size);
 }
 

@@ -35,15 +35,16 @@ const char* ToString(BatchOrder order);
 struct BatchPlanOptions {
   BatchOrder order = BatchOrder::kAsGiven;
 
-  /// Worker threads of the speculative query phase. `threads <= 1` (or a
-  /// planner without SupportsSpeculation()) runs the classic serial
-  /// prioritized loop, bit-for-bit identical to PlanBatch's historical
-  /// behaviour. With `threads > 1`, all queries are planned concurrently
+  /// Worker threads of the speculative query phase. `threads <= 1`, a
+  /// planner without SupportsSpeculation(), or a batch smaller than one
+  /// wave (see `wave_size`) runs the classic serial prioritized loop on the
+  /// calling thread, bit-for-bit identical to PlanBatch's historical
+  /// behaviour. Otherwise each wave's queries are planned concurrently
   /// against a frozen snapshot of the committed state and then validated
   /// and committed sequentially in priority order; routes invalidated by
   /// an earlier commit are re-planned serially. The final route set is
-  /// deterministic for a fixed priority order — independent of thread
-  /// count and scheduling.
+  /// deterministic for a fixed priority order and wave size — independent
+  /// of thread count and scheduling.
   int threads = 1;
 
   /// Optional externally owned pool to run the query phase on (reused
@@ -57,7 +58,11 @@ struct BatchPlanOptions {
   /// validate-then-commit it, move on). Small waves keep the invalidation
   /// rate low — a route only has to survive the <= wave_size - 1 routes
   /// speculated alongside it, not the whole batch. 0 = auto
-  /// (max(16, 4 * workers)).
+  /// (max(16, 4 * workers), workers = the pool's size or `threads`).
+  /// A batch of fewer than `wave_size` queries is not speculated at all:
+  /// it plans serially on the calling thread, where a partial wave is
+  /// cheaper than the pool hand-off. Set it explicitly (e.g. 2) to
+  /// speculate small batches.
   int wave_size = 0;
 };
 
@@ -96,9 +101,10 @@ BatchResult PlanBatch(Planner& planner, TimeStep t,
                       const std::vector<BatchQuery>& queries,
                       BatchOrder order = BatchOrder::kAsGiven);
 
-/// As above with execution options. With `options.threads > 1` and a
-/// speculation-capable planner this runs the speculative parallel pipeline,
-/// in priority-order waves of `options.wave_size` queries:
+/// As above with execution options. With `options.threads > 1`, a
+/// speculation-capable planner and a batch that fills at least one wave,
+/// this runs the speculative parallel pipeline, in priority-order waves of
+/// `options.wave_size` queries (otherwise the serial loop):
 ///
 ///   1. query phase — the wave's queries planned concurrently by the pool,
 ///      each worker searching the frozen committed state through its own

@@ -85,14 +85,20 @@ class RequestQueue {
 
 /// Knobs of the long-lived service loop.
 struct ServiceOptions {
-  /// Workers of the persistent thread pool each wave is dispatched onto.
+  /// Workers of the persistent thread pool a wave's speculative queries
+  /// run on. A wave smaller than one speculative wave (`wave_size`) plans
+  /// serially on the service thread whatever this is. With the auto wave
+  /// size (16 queries up to four workers) that holds for every wave of the
+  /// W-2 operating-day stream (1-7 requests), and the pool then never
+  /// starts a thread.
   int threads = 1;
 
   /// Priority order within a wave (requests already arrive in
   /// (release_time, id) order; kAsGiven keeps that).
   core::BatchOrder order = core::BatchOrder::kAsGiven;
 
-  /// PlanBatch wave chunking (0 = auto); see BatchPlanOptions.
+  /// PlanBatch wave chunking and speculation threshold (0 = auto); see
+  /// BatchPlanOptions::wave_size.
   int wave_size = 0;
 
   /// Retire a route through Planner::ReleaseRoute once the service clock
@@ -162,11 +168,12 @@ struct ServiceMetrics {
 /// A service owns a persistent ThreadPool and an admission queue. Each
 /// Step(now) is one service tick: retire routes the clock has passed,
 /// prune on cadence, drain the released requests into a wave, and plan the
-/// wave through core::PlanBatch — which runs the speculative query phase
-/// on the service's pool and validates and commits on the service thread.
-/// Committed routes are
-/// archived so a collision oracle can audit the whole history even in the
-/// retiring regime.
+/// wave through core::PlanBatch — serially on the service thread when the
+/// wave is smaller than one speculative wave, otherwise with the
+/// speculative query phase on the service's pool and validation and
+/// commits on the service thread. Committed routes are archived so a
+/// collision oracle can audit the whole history even in the retiring
+/// regime.
 ///
 /// Determinism: Step is single-threaded at the orchestration level and
 /// PlanBatch's result is thread-count independent, so the committed route

@@ -26,9 +26,10 @@ struct SimulatorOptions {
 
   /// Worker threads for speculative batched dispatch. With threads > 1 and
   /// a speculation-capable planner, pickup queries that become dispatchable
-  /// at the same timestep are planned as one parallel batch
-  /// (core::PlanBatch's validate-then-commit pipeline). threads <= 1 keeps
-  /// the classic serial dispatch loop, bit-for-bit.
+  /// at the same timestep are planned as one batch through core::PlanBatch,
+  /// which speculates it on a pool only when it fills one auto wave
+  /// (BatchPlanOptions::wave_size) and plans it serially otherwise.
+  /// threads <= 1 keeps the classic serial dispatch loop, bit-for-bit.
   int threads = 1;
 
   /// Retire each stage's route through Planner::ReleaseRoute as soon as

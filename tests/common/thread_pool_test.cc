@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -54,6 +56,34 @@ TEST(ThreadPoolTest, WaitIdleWithNoWorkReturns) {
   ThreadPool pool(2);
   pool.WaitIdle();  // must not hang
   SUCCEED();
+}
+
+// Threads of this process, or -1 where /proc/self/task is unavailable.
+int ProcessThreadCount() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  return static_cast<int>(std::distance(it, {}));
+}
+
+TEST(ThreadPoolTest, PoolWithoutTasksStartsNoWorker) {
+  const int before = ProcessThreadCount();
+  ThreadPool pool(3);
+  EXPECT_EQ(pool.size(), 3);
+  pool.WaitIdle();  // must not hang with no worker running
+  EXPECT_EQ(ThreadPool::CurrentWorkerIndex(), -1);
+  if (before >= 0) {
+    EXPECT_EQ(ProcessThreadCount(), before);
+  }
+
+  std::atomic<int> count{0};
+  pool.Submit([&count] { count.fetch_add(1); });
+  pool.WaitIdle();
+  EXPECT_EQ(count.load(), 1);
+  // At least: a sanitizer runtime may start a thread of its own here.
+  if (before >= 0) {
+    EXPECT_GE(ProcessThreadCount(), before + pool.size());
+  }
 }
 
 TEST(ThreadPoolTest, ReusableAcrossBatches) {

@@ -1,7 +1,11 @@
 // Tests of the speculative parallel PlanBatch pipeline: determinism across
 // thread counts, equality with the serial prioritized loop, collision-
-// freedom under contention, and validate-then-commit (a speculative route
-// that loses validation is never committed).
+// freedom under contention, validate-then-commit (a speculative route
+// that loses validation is never committed), and the one-wave threshold
+// below which a batch plans serially on the calling thread.
+//
+// PlanBatch only speculates a batch that fills one wave, so the tests of
+// the speculative path on small batches set `wave_size` explicitly.
 
 #include <gtest/gtest.h>
 
@@ -56,11 +60,15 @@ std::vector<BatchQuery> ContendingBatch() {
   return queries;
 }
 
+// Plans `queries` with `threads` workers and waves of `wave_size` queries
+// (0 = auto) and returns the planner's committed routes.
 std::vector<Route> CommittedSet(Planner& planner,
                                 const std::vector<BatchQuery>& queries,
-                                int threads, BatchResult* out = nullptr) {
+                                int threads, int wave_size,
+                                BatchResult* out = nullptr) {
   BatchPlanOptions options;
   options.threads = threads;
+  options.wave_size = wave_size;
   BatchResult result = PlanBatch(planner, /*t=*/0, queries, options);
   if (out != nullptr) *out = result;
   return planner.committed_routes();
@@ -78,10 +86,12 @@ TEST(ParallelBatchTest, ThreadCountsMatchSerialOnSpreadW1Batch) {
   const std::vector<Route> reference = serial.committed_routes();
   ASSERT_TRUE(ValidateRoutes(reference));
 
+  // Speculative waves of 16 at every thread count above one.
   for (int threads : {1, 2, 8}) {
     srp::SrpPlanner planner(w.matrix);
     BatchResult result;
-    const auto routes = CommittedSet(planner, queries, threads, &result);
+    const auto routes =
+        CommittedSet(planner, queries, threads, /*wave_size=*/16, &result);
     EXPECT_EQ(result.failed, 0) << "threads=" << threads;
     EXPECT_TRUE(ValidateRoutes(routes)) << "threads=" << threads;
     EXPECT_EQ(routes, reference) << "threads=" << threads;
@@ -97,10 +107,12 @@ TEST(ParallelBatchTest, ContendedBatchInvalidatesAndStaysCollisionFree) {
   const layout::Warehouse w =
       layout::GenerateWarehouse(layout::PresetTiny());
   const auto queries = ContendingBatch();
+  const int one_wave = static_cast<int>(queries.size());
 
   srp::SrpPlanner planner(w.matrix);
   BatchResult result;
-  const auto routes = CommittedSet(planner, queries, /*threads=*/4, &result);
+  const auto routes =
+      CommittedSet(planner, queries, /*threads=*/4, one_wave, &result);
 
   EXPECT_EQ(result.failed, 0);
   EXPECT_TRUE(ValidateRoutes(routes));
@@ -121,10 +133,12 @@ TEST(ParallelBatchTest, ParallelResultIndependentOfThreadCount) {
       layout::GenerateWarehouse(layout::PresetTiny());
   const auto queries = ContendingBatch();
 
+  const int one_wave = static_cast<int>(queries.size());
+
   srp::SrpPlanner two(w.matrix);
   srp::SrpPlanner eight(w.matrix);
-  const auto routes2 = CommittedSet(two, queries, 2);
-  const auto routes8 = CommittedSet(eight, queries, 8);
+  const auto routes2 = CommittedSet(two, queries, 2, one_wave);
+  const auto routes8 = CommittedSet(eight, queries, 8, one_wave);
   EXPECT_EQ(routes2, routes8);
 }
 
@@ -138,9 +152,11 @@ TEST(ParallelBatchTest, GridBaselinePlansParallelBatchesSafely) {
 
   auto parallel = baselines::MakePlanner("SAP", w.matrix);
   BatchResult result;
-  const auto routes = CommittedSet(*parallel, queries, 4, &result);
+  const auto routes = CommittedSet(*parallel, queries, 4,
+                                   static_cast<int>(queries.size()), &result);
 
   EXPECT_TRUE(ValidateRoutes(routes));
+  EXPECT_GT(result.speculated, 0);
   EXPECT_EQ(result.planned, serial_result.planned);
   EXPECT_EQ(result.failed, serial_result.failed);
   EXPECT_EQ(routes, serial->committed_routes());
@@ -157,12 +173,14 @@ TEST(ParallelBatchTest, ExternalPoolIsReusedAcrossBatches) {
 
   BatchPlanOptions options;
   options.threads = 4;
+  options.wave_size = static_cast<int>(queries.size());
   options.pool = &pool;
   const auto a = PlanBatch(pooled, 0, queries, options);
 
   options.pool = nullptr;
   const auto b = PlanBatch(transient, 0, queries, options);
 
+  EXPECT_GT(a.speculated, 0);
   EXPECT_EQ(a.planned, b.planned);
   EXPECT_EQ(pooled.committed_routes(), transient.committed_routes());
   EXPECT_TRUE(ValidateRoutes(pooled.committed_routes()));
@@ -175,12 +193,39 @@ TEST(ParallelBatchTest, StatsFoldQueriesFromAllWorkers) {
 
   srp::SrpPlanner planner(w.matrix);
   BatchResult result;
-  CommittedSet(planner, queries, 4, &result);
+  CommittedSet(planner, queries, 4, static_cast<int>(queries.size()), &result);
   // Every query was attempted speculatively; invalidated ones were
   // re-planned serially on top.
   EXPECT_EQ(planner.stats().queries,
             static_cast<std::int64_t>(queries.size()) + result.invalidated);
   EXPECT_EQ(planner.stats().speculative_routes, result.speculated);
+}
+
+TEST(ParallelBatchTest, BatchBelowOneAutoWavePlansSerially) {
+  // Four workers make the auto wave max(16, 4 * 4) = 16 queries.
+  const auto& w = W1();
+  const auto queries = SpreadQueries(w, 16, /*seed=*/29);
+  ASSERT_EQ(queries.size(), 16u);
+
+  for (std::size_t count : {15u, 16u}) {
+    const std::vector<BatchQuery> batch(queries.begin(),
+                                        queries.begin() + count);
+    srp::SrpPlanner serial(w.matrix);
+    PlanBatch(serial, 0, batch);
+
+    srp::SrpPlanner planner(w.matrix);
+    BatchResult result;
+    const auto routes =
+        CommittedSet(planner, batch, /*threads=*/4, /*wave_size=*/0, &result);
+    EXPECT_EQ(result.failed, 0) << "count=" << count;
+    EXPECT_EQ(routes, serial.committed_routes()) << "count=" << count;
+    if (count < 16) {
+      EXPECT_EQ(result.speculated, 0);  // below one wave: the serial loop
+      EXPECT_EQ(planner.stats().speculative_routes, 0);
+    } else {
+      EXPECT_EQ(result.speculated, result.planned);  // one full wave
+    }
+  }
 }
 
 }  // namespace

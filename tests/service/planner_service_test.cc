@@ -1,11 +1,14 @@
 // Request-stream service front-end: admission ordering, wave formation,
-// retire/prune lifecycle, drain semantics, and determinism of the
-// speculative batch pipeline across thread counts.
+// retire/prune lifecycle, drain semantics, serial planning of waves below
+// one speculative wave, and equality of the speculative batch pipeline
+// with the serial service when a wave size makes it speculate.
 
 #include "service/planner_service.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -14,6 +17,10 @@
 #include "layout/layout_generator.h"
 #include "layout/presets.h"
 #include "srp/srp_planner.h"
+#include "workload/arrival_profile.h"
+#include "workload/request_stream.h"
+#include "workload/scenario.h"
+#include "workload/task_generator.h"
 
 namespace carp::service {
 namespace {
@@ -40,6 +47,17 @@ std::vector<PlanRequest> MakeRequests(const layout::Warehouse& w, int count,
     requests.push_back(r);
   }
   return requests;
+}
+
+// Drains `requests` through a fresh service over `planner` and returns it
+// for inspection.
+std::unique_ptr<PlannerService> Drain(
+    core::Planner& planner, const ServiceOptions& options,
+    const std::vector<PlanRequest>& requests) {
+  auto svc = std::make_unique<PlannerService>(planner, options);
+  for (const auto& r : requests) svc->Submit(r);
+  svc->RunUntilDrained();
+  return svc;
 }
 
 TEST(RequestQueueTest, PopReadyOrdersByReleaseTimeThenId) {
@@ -139,11 +157,29 @@ TEST(PlannerServiceTest, RetiringServiceReleasesStateButKeepsArchive) {
   EXPECT_TRUE(core::ValidateRoutes(svc.archive()));
 }
 
-// The two tests below keep the names they had when the service also offered
-// a strip-sharded commit path; the service now has one speculative
-// validate-then-commit path, and they check that it commits exactly the
-// serial service's archive.
-TEST(PlannerServiceTest, ShardedServiceIsDeterministicAcrossThreadCounts) {
+// Default options: no service wave fills the auto wave (16 queries at
+// threads <= 4), so every wave plans serially on the service thread.
+TEST(PlannerServiceTest, DefaultWavesPlanSeriallyAcrossThreadCounts) {
+  const auto requests = MakeRequests(Tiny(), 36, /*spread=*/24, /*seed=*/23);
+
+  srp::SrpPlanner serial_planner(Tiny().matrix);
+  const auto serial = Drain(serial_planner, ServiceOptions{}, requests);
+  ASSERT_TRUE(core::ValidateRoutes(serial->archive()));
+  EXPECT_EQ(serial->metrics().planned + serial->metrics().failed, 36);
+
+  for (int threads : {2, 4}) {
+    srp::SrpPlanner planner(Tiny().matrix);
+    ServiceOptions options;
+    options.threads = threads;
+    const auto svc = Drain(planner, options, requests);
+    EXPECT_EQ(svc->metrics().speculated, 0) << "threads=" << threads;
+    EXPECT_EQ(svc->archive(), serial->archive()) << "threads=" << threads;
+  }
+}
+
+// With `wave_size = 2` every wave of two or more requests speculates, and
+// the speculative service must still commit exactly the serial archive.
+TEST(PlannerServiceTest, SpeculativeWavesMatchSerialAcrossThreadCounts) {
   const auto requests = MakeRequests(Tiny(), 36, /*spread=*/24, /*seed=*/23);
 
   std::vector<core::Route> reference;
@@ -151,25 +187,24 @@ TEST(PlannerServiceTest, ShardedServiceIsDeterministicAcrossThreadCounts) {
     srp::SrpPlanner planner(Tiny().matrix);
     ServiceOptions options;
     options.threads = threads;
-    PlannerService svc(planner, options);
-    for (const auto& r : requests) svc.Submit(r);
-    svc.RunUntilDrained();
+    options.wave_size = 2;
+    const auto svc = Drain(planner, options, requests);
 
-    ASSERT_TRUE(core::ValidateRoutes(svc.archive())) << "threads=" << threads;
-    EXPECT_EQ(svc.metrics().planned + svc.metrics().failed, 36)
+    ASSERT_TRUE(core::ValidateRoutes(svc->archive())) << "threads=" << threads;
+    EXPECT_EQ(svc->metrics().planned + svc->metrics().failed, 36)
         << "threads=" << threads;
     if (threads == 1) {
-      reference = svc.archive();
+      reference = svc->archive();
     } else {
-      EXPECT_EQ(svc.archive(), reference) << "threads=" << threads;
+      EXPECT_EQ(svc->archive(), reference) << "threads=" << threads;
       // Dense releases form multi-request waves, so the parallel service
       // actually exercised speculation.
-      EXPECT_GT(svc.metrics().speculated, 0) << "threads=" << threads;
+      EXPECT_GT(svc->metrics().speculated, 0) << "threads=" << threads;
     }
   }
 }
 
-TEST(PlannerServiceTest, ShardedAndSpeculativePipelinesAgreeOnGridBaseline) {
+TEST(PlannerServiceTest, SpeculativeWavesMatchSerialOnGridBaseline) {
   const auto requests = MakeRequests(Tiny(), 24, /*spread=*/16, /*seed=*/5);
 
   std::vector<core::Route> serial_archive;
@@ -177,22 +212,66 @@ TEST(PlannerServiceTest, ShardedAndSpeculativePipelinesAgreeOnGridBaseline) {
     auto planner = baselines::MakePlanner("SAP", Tiny().matrix);
     ServiceOptions options;
     options.threads = threads;
-    PlannerService svc(*planner, options);
-    for (const auto& r : requests) svc.Submit(r);
-    svc.RunUntilDrained();
+    options.wave_size = 2;
+    const auto svc = Drain(*planner, options, requests);
 
-    ASSERT_TRUE(core::ValidateRoutes(svc.archive())) << "threads=" << threads;
-    EXPECT_EQ(svc.metrics().planned + svc.metrics().failed, 24)
+    ASSERT_TRUE(core::ValidateRoutes(svc->archive())) << "threads=" << threads;
+    EXPECT_EQ(svc->metrics().planned + svc->metrics().failed, 24)
         << "threads=" << threads;
     if (threads == 1) {
-      serial_archive = svc.archive();
+      serial_archive = svc->archive();
     } else {
       // SAP speculates with its exact serial search, so the parallel
       // service must match the serial archive byte for byte.
-      EXPECT_EQ(svc.archive(), serial_archive);
-      EXPECT_GT(svc.metrics().speculated, 0);
+      EXPECT_EQ(svc->archive(), serial_archive);
+      EXPECT_GT(svc->metrics().speculated, 0);
     }
   }
+}
+
+// The start of a W-2 day (the preset and Day-1 task stream of the
+// operating-day benchmark's service workload, at 0.6% scale): its waves
+// hold one to a few requests. Speculating every wave of two or more on
+// three workers must commit exactly the serial service's archive.
+TEST(PlannerServiceTest, SpeculativeWavesMatchSerialOnW2Stream) {
+  const auto scenario = workload::ScaledScenario(
+      workload::PaperScenario("W-2"), /*scale=*/0.006);
+  const layout::Warehouse w = layout::GenerateWarehouse(scenario.layout);
+  workload::TaskGeneratorOptions topts;
+  topts.task_count = scenario.daily_tasks[0];
+  topts.day_length = scenario.day_length;
+  topts.seed = 1000;
+  const auto tasks = workload::GenerateTasks(
+      w, workload::ArrivalProfile::DoubleSurge(), topts);
+  std::vector<PlanRequest> requests;
+  for (const auto& q : workload::FlattenToQueries(w, tasks)) {
+    if (q.origin == q.destination) continue;
+    requests.push_back({0, q.emergence, q.origin, q.destination});
+  }
+  std::stable_sort(requests.begin(), requests.end(),
+                   [](const PlanRequest& a, const PlanRequest& b) {
+                     return a.release_time < b.release_time;
+                   });
+  requests.resize(std::min<std::size_t>(requests.size(), 160));
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    requests[i].id = static_cast<std::int64_t>(i);
+  }
+
+  srp::SrpPlanner serial_planner(w.matrix);
+  const auto serial = Drain(serial_planner, ServiceOptions{}, requests);
+
+  srp::SrpPlanner planner(w.matrix);
+  ServiceOptions options;
+  options.threads = 3;
+  options.wave_size = 2;
+  const auto svc = Drain(planner, options, requests);
+
+  const auto& m = svc->metrics();
+  EXPECT_EQ(m.planned + m.failed, static_cast<std::int64_t>(requests.size()));
+  EXPECT_LT(m.waves, m.planned);  // some waves hold several requests
+  EXPECT_GT(m.speculated, 0);
+  EXPECT_TRUE(core::ValidateRoutes(svc->archive()));
+  EXPECT_EQ(svc->archive(), serial->archive());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 // planner answers: a store probe that goes uncounted (or is counted twice)
 // on any path changes them even when the routes stay the same.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <iostream>
@@ -94,7 +95,10 @@ TEST_P(PlannerStatsGoldenTest, CountersMatchRecordedDay) {
   }
 
   // PlanBatch over 10-step windows up to 200: three workers, each window
-  // planned at its last query's emergence.
+  // planned at its last query's emergence. Every window of two or more
+  // queries speculates in waves of up to 16 (the auto wave at three
+  // workers): a smaller window is one wave of its own size, since PlanBatch
+  // plans a batch below one wave serially.
   core::BatchPlanOptions batch;
   batch.threads = 3;
   while (next < queries.size() && queries[next].emergence < 200) {
@@ -106,6 +110,7 @@ TEST_P(PlannerStatsGoldenTest, CountersMatchRecordedDay) {
       wave.push_back({queries[next].origin, queries[next].destination});
       t = queries[next].emergence;
     }
+    batch.wave_size = std::clamp(static_cast<int>(wave.size()), 2, 16);
     core::PlanBatch(*planner, t, wave, batch);
   }
 
