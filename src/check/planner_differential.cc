@@ -75,59 +75,77 @@ PlannerDiffResult RunPlannerDifferential(const PlannerDiffOptions& opt) {
       layout::GenerateWarehouse(layout::PresetByName(opt.preset));
   const auto tasks = MakeTasks(warehouse, opt);
 
+  // One simulated day on a fresh `backend` planner: the run must validate
+  // collision-free, drain, and keep its lifecycle accounting consistent.
+  // Returns an empty string when the day checks out.
+  auto run_day = [&](const layout::Warehouse& w,
+                     const std::vector<workload::DeliveryTask>& day,
+                     const std::string& backend, int threads,
+                     const std::string& tag, sim::RunMetrics& m,
+                     std::int64_t& speculative_routes) -> std::string {
+    auto planner = baselines::MakePlanner(backend, w.matrix);
+    if (planner == nullptr) return "unknown backend " + backend;
+
+    sim::SimulatorOptions sopts;
+    sopts.validate = true;
+    sopts.threads = threads;
+    sopts.retire_routes = opt.retire_routes;
+    sopts.prune_every = opt.prune_every;
+    sopts.prune_slack = opt.prune_slack;
+    sim::Simulator sim(w, *planner, sopts);
+    m = sim.Run(day);
+    speculative_routes = planner->stats().speculative_routes;
+
+    if (!m.validated || !m.collision_free) {
+      return tag + ": committed route set is NOT collision-free";
+    }
+    if (m.finished_tasks != m.total_tasks) {
+      std::ostringstream what;
+      what << tag << ": finished " << m.finished_tasks << " of "
+           << m.total_tasks << " tasks";
+      return what.str();
+    }
+    if (opt.retire_routes) {
+      // Live-route accounting: every stage route retires as its robot
+      // finishes, so a drained day leaves nothing live...
+      if (m.end_live_routes != 0 || planner->live_routes() != 0) {
+        std::ostringstream what;
+        what << tag << ": " << m.end_live_routes
+             << " routes still live after the day drained";
+        return what.str();
+      }
+      if (m.routes_released <= 0) {
+        return tag + ": retirement on but no route released";
+      }
+      // ...and SRP's exact release leaves the segment stores empty.
+      if (auto* srp = dynamic_cast<srp::SrpPlanner*>(planner.get())) {
+        if (srp->SegmentCount() != 0) {
+          std::ostringstream what;
+          what << tag << ": " << srp->SegmentCount()
+               << " segments leaked after all routes retired";
+          return what.str();
+        }
+        if (std::string err = srp->CheckInvariants(); !err.empty()) {
+          return tag + ": " + err;
+        }
+      }
+    }
+    return {};
+  };
+
   // ---- 1) Every backend through the same simulated day, under every
-  // requested thread count: the run must validate collision-free, drain,
-  // and keep its lifecycle accounting consistent.
+  // requested thread count.
   std::map<std::pair<std::string, int>, sim::RunMetrics> metrics;
   for (const std::string& backend : Backends()) {
     for (int threads : opt.thread_counts) {
-      auto planner = baselines::MakePlanner(backend, warehouse.matrix);
-      if (planner == nullptr) return fail("unknown backend " + backend);
-
-      sim::SimulatorOptions sopts;
-      sopts.validate = true;
-      sopts.threads = threads;
-      sopts.retire_routes = opt.retire_routes;
-      sopts.prune_every = opt.prune_every;
-      sopts.prune_slack = opt.prune_slack;
-      sim::Simulator sim(warehouse, *planner, sopts);
-      sim::RunMetrics m = sim.Run(tasks);
-
       std::ostringstream tag;
       tag << backend << " threads=" << threads;
-      if (!m.validated || !m.collision_free) {
-        return fail(tag.str() + ": committed route set is NOT collision-free");
-      }
-      if (m.finished_tasks != m.total_tasks) {
-        std::ostringstream what;
-        what << tag.str() << ": finished " << m.finished_tasks << " of "
-             << m.total_tasks << " tasks";
-        return fail(what.str());
-      }
-      if (opt.retire_routes) {
-        // Live-route accounting: every stage route retires as its robot
-        // finishes, so a drained day leaves nothing live...
-        if (m.end_live_routes != 0 || planner->live_routes() != 0) {
-          std::ostringstream what;
-          what << tag.str() << ": " << m.end_live_routes
-               << " routes still live after the day drained";
-          return fail(what.str());
-        }
-        if (m.routes_released <= 0) {
-          return fail(tag.str() + ": retirement on but no route released");
-        }
-        // ...and SRP's exact release leaves the segment stores empty.
-        if (auto* srp = dynamic_cast<srp::SrpPlanner*>(planner.get())) {
-          if (srp->SegmentCount() != 0) {
-            std::ostringstream what;
-            what << tag.str() << ": " << srp->SegmentCount()
-                 << " segments leaked after all routes retired";
-            return fail(what.str());
-          }
-          if (std::string err = srp->CheckInvariants(); !err.empty()) {
-            return fail(tag.str() + ": " + err);
-          }
-        }
+      sim::RunMetrics m;
+      std::int64_t speculative_routes = 0;
+      if (std::string err = run_day(warehouse, tasks, backend, threads,
+                                    tag.str(), m, speculative_routes);
+          !err.empty()) {
+        return fail(err);
       }
       metrics[{backend, threads}] = std::move(m);
     }
@@ -184,10 +202,18 @@ PlannerDiffResult RunPlannerDifferential(const PlannerDiffOptions& opt) {
       auto speculative = baselines::MakePlanner(backend, warehouse.matrix);
       core::BatchPlanOptions bopts;
       bopts.threads = threads;
-      core::PlanBatch(*speculative, 0, queries, bopts);
+      // One wave holding the whole batch: the auto wave (at least 16
+      // queries) is larger than the batch on presets with few pickers and
+      // would plan it serially.
+      bopts.wave_size = static_cast<int>(queries.size());
+      const core::BatchResult batch =
+          core::PlanBatch(*speculative, 0, queries, bopts);
 
       std::ostringstream tag;
       tag << backend << " threads=" << threads;
+      if (batch.speculated == 0) {
+        return fail(tag.str() + ": speculative PlanBatch speculated no route");
+      }
       if (!core::ValidateRoutes(speculative->committed_routes())) {
         return fail(tag.str() +
                     ": speculative PlanBatch route set is NOT collision-free");
@@ -211,6 +237,59 @@ PlannerDiffResult RunPlannerDifferential(const PlannerDiffOptions& opt) {
           return fail(what.str());
         }
       }
+    }
+  }
+
+  // ---- 4) Speculative batched dispatch through the simulator. The
+  // simulator hands PlanBatch one batch per timestep, and PlanBatch only
+  // speculates a batch that fills one auto wave (max(16, 4 x threads)
+  // queries), so the day of phase 1 (a few arrivals per timestep) plans
+  // serially even at threads > 1. Here every task arrives at t = 0 on the
+  // 64-robot "small" preset: the first timestep dispatches a full wave,
+  // which must speculate, commit collision-free, retire and drain like any
+  // serially planned day, and SRP-indexed must still match SRP.
+  const layout::Warehouse burst_warehouse =
+      layout::GenerateWarehouse(layout::PresetSmall());
+  for (int threads : opt.thread_counts) {
+    if (threads <= 1) continue;
+    PlannerDiffOptions burst_opt = opt;
+    burst_opt.tasks = std::max(opt.tasks, std::max(16, 4 * threads));
+    if (static_cast<std::size_t>(burst_opt.tasks) >
+        burst_warehouse.robot_homes.size()) {
+      std::ostringstream what;
+      what << "burst day at threads=" << threads << " needs "
+           << burst_opt.tasks << " robots, the small preset has "
+           << burst_warehouse.robot_homes.size();
+      return fail(what.str());
+    }
+    auto burst = MakeTasks(burst_warehouse, burst_opt);
+    for (auto& t : burst) t.arrival = 0;
+
+    std::map<std::string, sim::RunMetrics> burst_metrics;
+    for (const std::string& backend : Backends()) {
+      std::ostringstream tag;
+      tag << backend << " burst threads=" << threads;
+      sim::RunMetrics m;
+      std::int64_t speculative_routes = 0;
+      if (std::string err = run_day(burst_warehouse, burst, backend, threads,
+                                    tag.str(), m, speculative_routes);
+          !err.empty()) {
+        return fail(err);
+      }
+      if (speculative_routes == 0) {
+        return fail(tag.str() + ": batched dispatch speculated no route");
+      }
+      burst_metrics[backend] = std::move(m);
+    }
+    const sim::RunMetrics& sorted = burst_metrics["SRP"];
+    const sim::RunMetrics& indexed = burst_metrics["SRP-indexed"];
+    if (sorted.makespan != indexed.makespan ||
+        sorted.routes_released != indexed.routes_released) {
+      std::ostringstream what;
+      what << "SRP vs SRP-indexed diverged on the burst day at threads="
+           << threads << ": makespan " << sorted.makespan << " vs "
+           << indexed.makespan;
+      return fail(what.str());
     }
   }
 

@@ -37,10 +37,14 @@ struct PlannerDiffResult {
 ///    byte-identical routes for the same task stream;
 ///  * PlanBatch serial-vs-speculative differential, every backend: the
 ///    threaded pipeline (validate-then-commit in fixed priority order)
-///    must commit a collision-free route set, equal to the serial loop's
-///    for exact-speculation backends (SAP and the SRP variants), and SRP
-///    must keep clean store/counter invariants and the serial segment
-///    count.
+///    must speculate, commit a collision-free route set, equal to the
+///    serial loop's for exact-speculation backends (SAP and the SRP
+///    variants), and SRP must keep clean store/counter invariants and the
+///    serial segment count;
+///  * speculative batched dispatch through the simulator: for every thread
+///    count above 1, a burst day on the "small" preset (every task at t = 0,
+///    at least one full auto wave) must speculate, validate, drain and
+///    release like a serial day, with SRP-indexed matching SRP.
 ///
 /// Stops at the first violation and reports the scenario knobs that
 /// reproduce it.

@@ -92,11 +92,16 @@ INSTANTIATE_TEST_SUITE_P(AllPlanners, LongrunLifecycleTest,
 
 // Retirement composed with speculative batched dispatch: the routes the
 // validate-then-commit pass accepts retire through the same path as
-// serially planned ones, and the day must still validate.
+// serially planned ones, and the day must still validate. PlanBatch only
+// speculates a batch that fills one auto wave (max(16, 4 x threads) = 16
+// queries at two threads), so each day's tasks arrive in one burst on the
+// 64-robot "small" preset: the first timestep dispatches 40 pickups at once.
 TEST(LongrunLifecycleBatchedTest, RetirementWithSpeculativeDispatch) {
   const TimeStep day_length = 400;
+  const int burst = 40;
   layout::Warehouse warehouse =
-      layout::GenerateWarehouse(layout::PresetTiny());
+      layout::GenerateWarehouse(layout::PresetSmall());
+  ASSERT_GE(warehouse.robot_homes.size(), static_cast<std::size_t>(burst));
   auto planner = baselines::MakePlanner("SRP", warehouse.matrix);
   ASSERT_NE(planner, nullptr);
 
@@ -108,13 +113,26 @@ TEST(LongrunLifecycleBatchedTest, RetirementWithSpeculativeDispatch) {
   Simulator sim(warehouse, *planner, options);
 
   TimeStep start = 0;
+  std::int64_t released = 0;
   for (int day = 0; day < 2; ++day) {
-    RunMetrics m = sim.Run(DayTasks(warehouse, day, start, day_length, 30));
+    auto tasks = DayTasks(warehouse, day, start, day_length, burst);
+    for (auto& t : tasks) t.arrival = start;
+    RunMetrics m = sim.Run(tasks);
     start = std::max(start + day_length, m.makespan);
     EXPECT_EQ(m.finished_tasks, m.total_tasks) << "day " << day;
+    EXPECT_TRUE(m.validated);
     EXPECT_TRUE(m.collision_free) << "day " << day;
+    EXPECT_GT(m.routes_released, 0) << "day " << day;
     EXPECT_EQ(m.end_live_routes, 0u) << "day " << day;
+    released += m.routes_released;
   }
+  // The bursts really went through the speculative pipeline, and routes it
+  // committed were retired like any other.
+  EXPECT_GT(planner->stats().speculative_routes, 0);
+  EXPECT_EQ(planner->stats().routes_released, released);
+  auto* srp = dynamic_cast<srp::SrpPlanner*>(planner.get());
+  ASSERT_NE(srp, nullptr);
+  EXPECT_EQ(srp->SegmentCount(), 0u);
 }
 
 }  // namespace
